@@ -1,10 +1,6 @@
 package adversary
 
-import (
-	"math/rand"
-
-	"dynring/internal/sim"
-)
+import "dynring/internal/sim"
 
 // Func adapts plain functions to sim.Adversary. Nil fields mean "activate
 // everyone" and "remove nothing".
@@ -31,12 +27,27 @@ func (f Func) MissingEdge(t int, w *sim.World, intents []sim.Intent) int {
 	return f.EdgeFunc(t, w, intents)
 }
 
-func allAgents(w *sim.World) []int {
-	ids := make([]int, w.NumAgents())
+// identity is the read-only table allAgents slices: identity[i] == i.
+var identity = func() (ids [256]int) {
 	for i := range ids {
 		ids[i] = i
 	}
 	return ids
+}()
+
+// allAgents returns the ids 0..NumAgents-1 without allocating (beyond the
+// identity table's size). The slice is shared and capped at its length, so
+// callers must treat it as read-only; the engine only reads it.
+func allAgents(w *sim.World) []int {
+	n := w.NumAgents()
+	if n > len(identity) {
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = i
+		}
+		return ids
+	}
+	return identity[:n:n]
 }
 
 // None removes no edge and activates everyone: a static ring.
@@ -83,14 +94,14 @@ func (p PersistentEdge) NextChange(int) int { return sim.NeverChanges }
 // (otherwise none). It activates every agent; combine with RandomActivation
 // for SSYNC stress tests.
 type RandomEdge struct {
-	rng *rand.Rand
+	rng source
 	// P is the per-round removal probability in [0,1].
 	P float64
 }
 
 // NewRandomEdge returns a seeded random-edge adversary.
 func NewRandomEdge(p float64, seed int64) *RandomEdge {
-	return &RandomEdge{P: p, rng: rand.New(rand.NewSource(seed))}
+	return &RandomEdge{P: p, rng: newSource(seed)}
 }
 
 var _ sim.Adversary = (*RandomEdge)(nil)
@@ -110,7 +121,8 @@ func (r *RandomEdge) MissingEdge(_ int, w *sim.World, _ []sim.Intent) int {
 // fair activation schedule: each agent is active independently with
 // probability P, with a guaranteed non-empty set.
 type RandomActivation struct {
-	rng *rand.Rand
+	rng source
+	ids []int // Activate's reusable result buffer
 	// Edges provides the missing-edge strategy (nil: never remove).
 	Edges sim.Adversary
 	// P is the per-agent activation probability in (0,1].
@@ -119,34 +131,40 @@ type RandomActivation struct {
 
 // NewRandomActivation returns a seeded random activation wrapper.
 func NewRandomActivation(p float64, seed int64, edges sim.Adversary) *RandomActivation {
-	return &RandomActivation{P: p, rng: rand.New(rand.NewSource(seed)), Edges: edges}
+	return &RandomActivation{P: p, rng: newSource(seed), Edges: edges}
 }
 
 var _ sim.Adversary = (*RandomActivation)(nil)
 
-// Activate implements sim.Adversary.
+// Activate implements sim.Adversary. The result reuses one buffer across
+// rounds, which the engine's contract allows.
 func (r *RandomActivation) Activate(_ int, w *sim.World) []int {
-	var ids []int
+	ids := r.ids[:0]
+	live := 0
 	for i := 0; i < w.NumAgents(); i++ {
 		if w.AgentTerminated(i) {
 			continue
 		}
+		live++
 		if r.rng.Float64() < r.P {
 			ids = append(ids, i)
 		}
 	}
-	if len(ids) == 0 {
+	if len(ids) == 0 && live > 0 {
 		// Guarantee progress: wake one live agent uniformly.
-		var live []int
-		for i := 0; i < w.NumAgents(); i++ {
-			if !w.AgentTerminated(i) {
-				live = append(live, i)
+		k := r.rng.Intn(live)
+		for i := 0; ; i++ {
+			if w.AgentTerminated(i) {
+				continue
 			}
-		}
-		if len(live) > 0 {
-			ids = append(ids, live[r.rng.Intn(len(live))])
+			if k == 0 {
+				ids = append(ids, i)
+				break
+			}
+			k--
 		}
 	}
+	r.ids = ids
 	return ids
 }
 

@@ -17,4 +17,14 @@
 // removed per round). CappedRemoval deliberately exceeds it through the
 // engine's sim.MultiAdversary interface; every other strategy stays
 // single-edge.
+//
+// The seeded strategies (RandomEdge, RandomActivation, TInterval) draw from
+// an in-package source that reproduces rand.New(rand.NewSource(seed))
+// draw for draw but seeds lazily: construction stores only the normalised
+// seed, the first 273 draws are computed from it directly, and the 607-word
+// register is built only if a run draws more. A run that makes fewer draws
+// (most of them) never pays math/rand's seeding. Because the stream is
+// identical (TestSourceMatchesMathRand proves it over 240 seeds), so is
+// every Result: the source needs no fingerprint version of its own, and
+// goldens and cache entries computed with math/rand stay valid.
 package adversary

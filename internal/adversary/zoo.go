@@ -1,7 +1,6 @@
 package adversary
 
 import (
-	"math/rand"
 	"strconv"
 
 	"dynring/internal/sim"
@@ -29,7 +28,7 @@ import (
 // path is stable for the T rounds of each phase. T = 1 degenerates to an
 // always-removing single-edge adversary re-drawn every round.
 type TInterval struct {
-	rng *rand.Rand
+	rng source
 	// T is the phase length in rounds; it must be ≥ 1.
 	T int
 
@@ -43,7 +42,7 @@ func NewTInterval(t int, seed int64) *TInterval {
 	if t < 1 {
 		t = 1
 	}
-	return &TInterval{T: t, rng: rand.New(rand.NewSource(seed)), edge: sim.NoEdge}
+	return &TInterval{T: t, rng: newSource(seed), edge: sim.NoEdge}
 }
 
 var _ sim.Adversary = (*TInterval)(nil)

@@ -139,7 +139,7 @@ func (j *Job) setRow(i int, r Row) {
 
 // markCancelled settles every pending row with context.Canceled and flips
 // the job to StateCancelled.
-func (j *Job) markCancelled() { j.settleAbort(context.Canceled) }
+func (j *Job) markCancelled() { j.settleAbort(context.Canceled, nil) }
 
 // settleAbort settles every pending row with err and flips the job to
 // StateCancelled, reporting whether it was this call that settled the job
@@ -148,8 +148,10 @@ func (j *Job) markCancelled() { j.settleAbort(context.Canceled) }
 // repeat submission will still hit the cache for them. The job's context
 // is cancelled first by the caller, so in-flight runs abort promptly;
 // their late setRow calls are ignored. Cancellation and deadline expiry
-// share this path, differing only in err.
-func (j *Job) settleAbort(err error) bool {
+// share this path, differing only in err and onAbort. onAbort (may be
+// nil) runs only when this call settles the job, before any waiter wakes,
+// so a waiter that sees the job settled also sees what onAbort counted.
+func (j *Job) settleAbort(err error, onAbort func()) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateRunning {
@@ -163,6 +165,9 @@ func (j *Job) settleAbort(err error) bool {
 		}
 	}
 	j.state = StateCancelled
+	if onAbort != nil {
+		onAbort()
+	}
 	if j.onSettle != nil {
 		j.onSettle()
 	}

@@ -615,8 +615,7 @@ func (m *Manager) expireJob(j *Job, ts *tenantState) {
 	m.sched.Remove(j)
 	m.mu.Unlock()
 	j.cancel()
-	if j.settleAbort(context.DeadlineExceeded) {
-		ts.expired.Add(1)
+	if j.settleAbort(context.DeadlineExceeded, func() { ts.expired.Add(1) }) {
 		m.log.Warn("sweep deadline expired", "job", j.ID, "tenant", ts.cfg.Name)
 	}
 }
@@ -1273,9 +1272,12 @@ func (m *Manager) execute(ctx context.Context, sc dynring.Scenario) (res dynring
 			err = fmt.Errorf("scenario panicked: %v", r)
 			return
 		}
+		// Read the stats before Put: once pooled, another worker may take
+		// the Runner and overwrite them.
+		stats := runner.LastStats()
 		m.runners.Put(runner)
 		if err == nil {
-			m.met.observeRun(runner.LastStats())
+			m.met.observeRun(stats)
 		}
 	}()
 	m.executions.Add(1)
