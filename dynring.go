@@ -62,7 +62,7 @@ type (
 	Intent = sim.Intent
 	// World is the live simulation state passed to adversaries.
 	World = sim.World
-	// Result summarizes a finished run.
+	// Result summarizes a finished run. Result.Clone deep-copies one.
 	Result = sim.Result
 	// Outcome classifies how a run ended.
 	Outcome = sim.Outcome

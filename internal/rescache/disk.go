@@ -44,9 +44,14 @@ type Disk[V any] struct {
 	misses  uint64
 	skipped int // corrupt/foreign files ignored since Open
 
-	queue  chan diskWrite[V]
-	closed bool
-	done   chan struct{}
+	// closeMu guards closed and orders every Put's queue send before
+	// Close's close(queue): Put holds it shared across the send, Close
+	// exclusively. It is not mu because a Put blocked on a full queue must
+	// not stall the writer, which takes mu.
+	closeMu sync.RWMutex
+	queue   chan diskWrite[V]
+	closed  bool
+	done    chan struct{}
 }
 
 // diskWrite is one queued Put.
@@ -189,11 +194,12 @@ func (d *Disk[V]) Put(key string, val V) {
 	if key == "" {
 		return
 	}
-	d.mu.Lock()
+	d.closeMu.RLock()
+	defer d.closeMu.RUnlock()
 	if d.closed {
-		d.mu.Unlock()
 		return
 	}
+	d.mu.Lock()
 	if _, ok := d.index[key]; ok {
 		d.mu.Unlock()
 		return
@@ -249,15 +255,12 @@ func (d *Disk[V]) writeEntry(key string, val V) {
 // Close flushes every queued write and stops the writer. Further Puts are
 // dropped; Get keeps working (the tier stays readable through shutdown).
 func (d *Disk[V]) Close() {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		<-d.done
-		return
+	d.closeMu.Lock()
+	if !d.closed {
+		d.closed = true
+		close(d.queue)
 	}
-	d.closed = true
-	d.mu.Unlock()
-	close(d.queue)
+	d.closeMu.Unlock()
 	<-d.done
 }
 

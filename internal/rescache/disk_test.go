@@ -317,3 +317,23 @@ func TestDiskPutAfterCloseDropped(t *testing.T) {
 		t.Fatal("Get after Close must keep serving durable entries")
 	}
 }
+
+// TestDiskPutRacesClose: Puts concurrent with Close are written or dropped,
+// never sent on the closed queue (a panic, and a data race under -race).
+func TestDiskPutRacesClose(t *testing.T) {
+	for range 20 {
+		d := openDisk(t, t.TempDir(), nil)
+		var wg sync.WaitGroup
+		for w := range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range 50 {
+					d.Put(fmt.Sprintf("k%d-%d", w, i), dval{N: i})
+				}
+			}()
+		}
+		d.Close()
+		wg.Wait()
+	}
+}

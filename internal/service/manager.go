@@ -13,6 +13,7 @@ import (
 
 	"dynring"
 	"dynring/internal/cluster"
+	"dynring/internal/rescache"
 	"dynring/internal/service/sched"
 	"dynring/internal/sweep"
 	"dynring/internal/telemetry"
@@ -178,14 +179,6 @@ type task struct {
 	i int
 }
 
-// flight is one in-progress execution of a fingerprint, deduplicating
-// concurrent requests for the same scenario (a pool worker and a /v1/run
-// proxy hop, or two jobs sharing grid cells).
-type flight struct {
-	done chan struct{} // closed when the leader settles
-	err  error
-}
-
 // Manager owns the admission layer, the shared worker pool, the job table,
 // the tiered result cache and (in cluster mode) the membership table. It is
 // split in two along the submit path:
@@ -281,8 +274,9 @@ type Manager struct {
 	// consecutive runs without pinning one Runner per worker.
 	runners sync.Pool
 
-	flightMu sync.Mutex
-	flights  map[string]*flight
+	// group deduplicates concurrent executions of one fingerprint (a pool
+	// worker and a /v1/run proxy hop, or two jobs sharing grid cells).
+	group *rescache.Group[dynring.Result]
 
 	mu     sync.Mutex
 	cond   *sync.Cond // wakes idle workers on submit/close
@@ -349,7 +343,6 @@ func newManager(opts Options) (*Manager, error) {
 		registry: telemetry.NewRegistry(),
 		tracer:   telemetry.NewTracer(0, 0),
 		jobs:     make(map[string]*Job),
-		flights:  make(map[string]*flight),
 		sched:    sched.New[*Job](),
 		tenants:  make(map[string]*tenantState),
 		byKey:    make(map[string]*tenantState),
@@ -381,6 +374,7 @@ func newManager(opts Options) (*Manager, error) {
 		return nil, err
 	}
 	m.cache = cache
+	m.group = rescache.NewGroup[dynring.Result](cache, dynring.Result.Clone)
 	m.runners.New = func() any { return dynring.NewRunner() }
 	m.shedQueueDepth = opts.ShedQueueDepth
 	m.shedOpenBreakers = opts.ShedOpenBreakers
@@ -1121,7 +1115,7 @@ func (m *Manager) proxyRun(ctx context.Context, target string, sc dynring.Scenar
 	defer cancel()
 	c := &dynring.Client{BaseURL: target, HTTPClient: m.proxyHTTP, Retries: -1, TenantKey: m.TenantKey(tenant)}
 	hop := time.Now()
-	rr, err := c.RunScenarioBudgeted(hopCtx, sp, traceID, budget)
+	rr, err := c.RunScenario(hopCtx, sp, dynring.WithTrace(traceID), dynring.WithDeadline(budget))
 	rtt := time.Since(hop)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -1201,61 +1195,30 @@ func (m *Manager) peerLatencyHigh(target string, threshold time.Duration) bool {
 
 // ExecuteLocal runs one scenario on this node — cache tiers first, then an
 // actual engine run — deduplicating concurrent executions of the same
-// fingerprint through a singleflight. It is the execution primitive shared
-// by the worker pool and the /v1/run handler; the handler calls it on its
-// own goroutine precisely so proxy hops never occupy pool workers (two
-// nodes whose pools were full of proxy hops to each other would deadlock).
+// fingerprint through the manager's rescache.Group. It is the execution
+// primitive shared by the worker pool and the /v1/run handler; the handler
+// calls it on its own goroutine precisely so proxy hops never occupy pool
+// workers (two nodes whose pools were full of proxy hops to each other
+// would deadlock).
 //
 // The returned bool reports the result was served without executing here
-// (a cache hit, or a concurrent flight's result read back through the
-// cache). Failures are never cached: validation errors are caught at
-// Submit, so what remains — cancellation, panic — must not poison later
-// runs of the fingerprint.
+// (a cache hit, or a concurrent execution's result taken from its flight).
+// Failures are never cached: validation errors are caught at Submit, so
+// what remains — cancellation, panic — must not poison later runs of the
+// fingerprint.
 func (m *Manager) ExecuteLocal(ctx context.Context, sc dynring.Scenario, fp string) (dynring.Result, bool, error) {
 	if fp == "" {
 		res, err := m.execute(ctx, sc)
 		return res, false, err
 	}
-	for {
-		if res, ok := m.cache.Get(fp); ok {
-			return res, true, nil
-		}
-		m.flightMu.Lock()
-		if f, ok := m.flights[fp]; ok {
-			m.flightMu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return dynring.Result{}, false, ctx.Err()
-			}
-			if f.err != nil {
-				// The leader failed (typically its job was cancelled).
-				// Its failure is not ours: loop and run as leader.
-				continue
-			}
-			// Success landed in the cache before done closed; the loop's
-			// cache probe serves a private copy.
-			continue
-		}
-		f := &flight{done: make(chan struct{})}
-		m.flights[fp] = f
-		m.flightMu.Unlock()
-
-		res, err := m.execute(ctx, sc)
-		if err == nil {
-			m.cache.Put(fp, res)
-			// Push the completed envelope toward fp's other replicas; the
-			// replication loop fans it out to each replica's disk tier
-			// through that node's own async write queue.
-			m.replicate(fp, res)
-		}
-		f.err = err
-		m.flightMu.Lock()
-		delete(m.flights, fp)
-		m.flightMu.Unlock()
-		close(f.done)
-		return res, false, err
+	res, shared, err := m.group.Do(ctx, fp, func() (dynring.Result, error) { return m.execute(ctx, sc) })
+	if !shared && err == nil {
+		// Push the completed envelope toward fp's other replicas; the
+		// replication loop fans it out to each replica's disk tier through
+		// that node's own async write queue.
+		m.replicate(fp, res)
 	}
+	return res, shared, err
 }
 
 // execute performs one engine run with a pooled Runner, converting panics

@@ -79,6 +79,21 @@ type Result struct {
 	CycleStart int
 }
 
+// Clone returns a deep copy of r: the per-agent slices (TerminatedAt,
+// Moves) are copied, so mutating the clone cannot reach r. Result caches
+// and single-flight groups clone on the way in and out, because a Result
+// aliased between a cache and a caller would let a caller that mutates its
+// apparently owned slices poison every later hit of that key.
+func (r Result) Clone() Result {
+	if r.TerminatedAt != nil {
+		r.TerminatedAt = append([]int(nil), r.TerminatedAt...)
+	}
+	if r.Moves != nil {
+		r.Moves = append([]int(nil), r.Moves...)
+	}
+	return r
+}
+
 // RunStats accounts for how a run was executed, as opposed to what it
 // computed (Result). The split matters: stats depend on the execution path
 // — the leap fast path and the slow path produce identical Results but very
