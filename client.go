@@ -454,7 +454,7 @@ func remoteError(resp *http.Response) error {
 }
 
 // SubmitOption qualifies one submission (SubmitSweep, RunSweep,
-// RunSweepFunc, RunSweepRouted, RunScenario).
+// RunSweepFunc, RunScenario).
 type SubmitOption func(*submitOptions)
 
 type submitOptions struct {

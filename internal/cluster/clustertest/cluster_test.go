@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -46,7 +47,7 @@ func fingerprints(t *testing.T, spec dynring.SweepSpec) []string {
 }
 
 // placementRing rebuilds the cluster's placement ring the way every node
-// and routing client does.
+// does.
 func (c *Cluster) placementRing() *cluster.Ring {
 	urls := make([]string, c.Size())
 	for i := range urls {
@@ -55,47 +56,47 @@ func (c *Cluster) placementRing() *cluster.Ring {
 	return cluster.NewRing(urls, cluster.DefaultVNodes)
 }
 
-// waitReplicated blocks until every node's durable tier holds exactly its
-// replica share of fps under k-replica placement.
+// waitReplicated blocks until every node's durable tier has written the
+// envelope of each fingerprint in its replica share under k-replica
+// placement, failing the test after 10s. It checks the files, not the
+// tier's index: the index lists a queued write before the file exists.
 func (c *Cluster) waitReplicated(fps []string, k int) {
 	c.t.Helper()
 	ring := c.placementRing()
+	deadline := time.Now().Add(10 * time.Second)
 	for i := 0; i < c.Size(); i++ {
-		want := 0
 		for _, fp := range fps {
-			for _, o := range ring.Owners(fp, k) {
-				if o == c.Node(i).URL {
-					want++
+			if !slices.Contains(ring.Owners(fp, k), c.Node(i).URL) {
+				continue
+			}
+			for {
+				if _, err := os.Stat(EnvelopeFile(c.Node(i).DataDir, fp)); err == nil {
+					break
 				}
+				if time.Now().After(deadline) {
+					c.t.Fatalf("node %d never wrote the envelope of %s", i, fp)
+				}
+				time.Sleep(5 * time.Millisecond)
 			}
 		}
-		c.WaitDurable(i, want)
 	}
 }
 
-// TestClusterReplicaRetryServesFromReplicas is the satellite-1 regression
-// test and the tentpole acceptance check in-process: when the owner of an
-// in-flight share dies, RunSweepRouted re-routes the share through the
-// rest of each fingerprint's replica set — which holds the replicated
-// envelopes — so the sweep finishes with zero errored rows, zero
-// re-executions of already-replicated fingerprints, and zero extra proxy
-// hops through the coordinator (the pre-replica retry re-ran the whole
-// share there).
-func TestClusterReplicaRetryServesFromReplicas(t *testing.T) {
-	c := Start(t, Options{
-		Nodes: 3, Replicas: 2, Disk: true,
-		// Slow probes keep the victim "alive" in the routing snapshot
-		// taken right after the crash, forcing the share onto the dead
-		// node so the retry path is actually exercised.
-		ProbeInterval: 200 * time.Millisecond,
-	})
+// TestClusterReplicaFailoverServesFromReplica: when a fingerprint's owner
+// dies, the server router serves it from the rest of its replica set. Every
+// row is owned by node 1 with node 0 as its replica; the first sweep (through
+// node 0) executes on the owner and replicates to node 0. After node 1
+// crashes, the same grid through node 2 — in neither replica set — must
+// finish with zero errored rows and zero re-executions, node 2 counting at
+// least one replica hit.
+func TestClusterReplicaFailoverServesFromReplica(t *testing.T) {
+	c := Start(t, Options{Nodes: 3, Replicas: 2, Disk: true})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	spec := grid(1, 2, 3)
+	spec := seedSpec(c.seedsOwnedBy(t, 2, 3, 1, 0))
 	fps := fingerprints(t, spec)
-	cl := c.Client(0)
 
-	rows, err := cl.RunSweepRouted(ctx, spec, nil)
+	rows, err := c.Client(0).RunSweep(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,38 +111,8 @@ func TestClusterReplicaRetryServesFromReplicas(t *testing.T) {
 		t.Fatalf("first sweep executed %d scenarios, want %d", execBefore, len(fps))
 	}
 
-	// The victim must head at least one fingerprint, or killing it proves
-	// nothing; with 12 rows over 3 nodes one of the non-coordinators does.
-	ring := c.placementRing()
-	victim := -1
-	for i := 1; i < c.Size(); i++ {
-		for _, fp := range fps {
-			if ring.Owner(fp) == c.Node(i).URL {
-				victim = i
-				break
-			}
-		}
-		if victim >= 0 {
-			break
-		}
-	}
-	if victim < 0 {
-		t.Fatal("no non-coordinator node heads any fingerprint")
-	}
-	proxiedBefore := c.Node(0).Manager.Stats().Proxied
-
-	c.Crash(victim)
-	cs, err := cl.ClusterStatus(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range cs.Peers {
-		if p.URL == c.Node(victim).URL && p.State != "alive" {
-			t.Fatalf("victim already marked %q before the sweep; the retry path would not be exercised", p.State)
-		}
-	}
-
-	rows, err = cl.RunSweepRouted(ctx, spec, nil)
+	c.Crash(1)
+	rows, err = c.Client(2).RunSweep(ctx, spec)
 	if err != nil {
 		t.Fatalf("sweep after owner death: %v", err)
 	}
@@ -153,8 +124,8 @@ func TestClusterReplicaRetryServesFromReplicas(t *testing.T) {
 	if got := c.TotalExecutions(); got != execBefore {
 		t.Fatalf("owner death re-executed %d already-replicated scenarios", got-execBefore)
 	}
-	if got := c.Node(0).Manager.Stats().Proxied; got != proxiedBefore {
-		t.Fatalf("retry bounced %d scenarios through the coordinator instead of going to their replicas", got-proxiedBefore)
+	if hits := scrapeCounter(t, c, 2, "dynring_cluster_replica_hits_total"); hits < 1 {
+		t.Fatalf("replica_hits_total = %v on node 2, want >= 1", hits)
 	}
 }
 

@@ -160,8 +160,8 @@ func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 // Size returns the cluster's member count, crashed nodes included.
 func (c *Cluster) Size() int { return len(c.nodes) }
 
-// Client returns a routed-sweep-capable client pointed at node i, with all
-// its traffic subject to the fault plan (as party "client").
+// Client returns a client pointed at node i, with all its traffic subject
+// to the fault plan (as party "client").
 func (c *Cluster) Client(i int) *dynring.Client {
 	return &dynring.Client{
 		BaseURL:    c.nodes[i].URL,
@@ -248,21 +248,6 @@ func (c *Cluster) TotalExecutions() uint64 {
 		sum += n.Manager.Stats().Executions
 	}
 	return sum
-}
-
-// WaitDurable blocks until node i's durable tier indexes at least want
-// fingerprints (replication and the async disk writer have caught up),
-// failing the test after 10s.
-func (c *Cluster) WaitDurable(i, want int) {
-	c.t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for len(c.nodes[i].Manager.DurableKeys()) < want {
-		if time.Now().After(deadline) {
-			c.t.Fatalf("clustertest: node %d durable tier stuck at %d/%d entries",
-				i, len(c.nodes[i].Manager.DurableKeys()), want)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }
 
 // EnvelopeFile returns the path of fp's envelope in a node's DataDir,

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -116,12 +115,10 @@ type ClusterOptions struct {
 	// HedgeAfter, when positive, arms hedged replica reads: a proxy hop to
 	// a fingerprint's owner that has not answered after this delay fires
 	// the same fingerprint at the next replica, first response wins, the
-	// loser is cancelled before its result could be adopted. When the
-	// owner's recently observed latency already exceeds the delay, the
-	// hedge fires immediately. Exactly-once stays structural — both sides
-	// serve through their own cache and singleflight, and the replication
-	// push reconciles the winner's envelope. Zero disables hedging
-	// (ringsimd -hedge-after).
+	// loser is cancelled before its result could be adopted. Exactly-once
+	// stays structural — both sides serve through their own cache and
+	// singleflight, and the replication push reconciles the winner's
+	// envelope. Zero disables hedging (ringsimd -hedge-after).
 	HedgeAfter time.Duration
 	// BreakerThreshold is the consecutive bad-observation count (proxy
 	// errors, timeouts, slow probe RTTs) that opens a peer's circuit
@@ -166,12 +163,6 @@ const replicateQueueDepth = 256
 // is the historical replicaRPCTimeout value — generous enough for a slow
 // replica, finite so a gray one cannot pin goroutines forever.
 const defaultProxyTimeout = 10 * time.Second
-
-// latWindowSize is the per-peer latency window the hedging quantile is
-// computed over: the last 16 successful proxy RTTs. Small on purpose — a
-// peer turning gray should cross the hedge threshold within a handful of
-// observations, not after amortizing away an hour of healthy history.
-const latWindowSize = 16
 
 // task is one schedulable unit: scenario i of job j.
 type task struct {
@@ -246,8 +237,7 @@ type Manager struct {
 	// Gray-failure resilience state. proxyTimeout bounds every replica
 	// RPC; hedgeAfter is the hedged-read delay (0: hedging off); hedges
 	// and hedgeWins count fired hedges and hedges whose response was
-	// adopted. peerLat holds the per-peer proxy-RTT windows the hedging
-	// quantile reads. shedQueueDepth / shedOpenBreakers arm admission
+	// adopted. shedQueueDepth / shedOpenBreakers arm admission
 	// brownout, and shed counts submissions rejected by it.
 	proxyTimeout     time.Duration
 	hedgeAfter       time.Duration
@@ -256,8 +246,6 @@ type Manager struct {
 	shedQueueDepth   int
 	shedOpenBreakers int
 	shed             atomic.Uint64
-	latMu            sync.Mutex
-	peerLat          map[string]*latWindow
 
 	// Admission state: tenants by name and by API key (both immutable
 	// after newManager; tenantList preserves declaration order for stats),
@@ -400,7 +388,6 @@ func newManager(opts Options) (*Manager, error) {
 		m.aeKick = make(chan string, 8)
 		m.auxStop = make(chan struct{})
 		m.replq = make(chan replItem, replicateQueueDepth)
-		m.peerLat = make(map[string]*latWindow)
 		m.membership = cluster.NewMembership(cluster.Config{
 			Self:          opts.Cluster.Self,
 			Peers:         opts.Cluster.Peers,
@@ -487,28 +474,22 @@ func (m *Manager) Close() {
 }
 
 // Submit expands and fingerprints the grid (axis form or explicit-list
-// form — the latter is how cluster peers ship grid shares), registers the
-// job and queues it on the shared pool. Expansion, validation and
-// fingerprint errors are reported here, before anything runs. The job gets
-// a fresh trace ID and runs as the anonymous tenant at default priority;
-// callers carrying a trace, tenant, priority or deadline use SubmitJob.
+// form), registers the job and queues it on the shared pool. Expansion,
+// validation and fingerprint errors are reported here, before anything
+// runs. The job gets a fresh trace ID and runs as the anonymous tenant at
+// default priority; callers carrying a trace, tenant, priority or deadline
+// use SubmitJob.
 func (m *Manager) Submit(spec dynring.SweepSpec) (*Job, error) {
 	return m.SubmitJob(spec, SubmitOptions{})
-}
-
-// SubmitTraced is Submit under a caller-supplied trace ID (empty: a fresh
-// one is generated). The ID binds every span the sweep causes — locally and
-// on nodes its scenarios are proxied to — into one trace.
-func (m *Manager) SubmitTraced(spec dynring.SweepSpec, traceID string) (*Job, error) {
-	return m.SubmitJob(spec, SubmitOptions{TraceID: traceID})
 }
 
 // SubmitOptions qualify one submission. The zero value reproduces the
 // historical Submit: fresh trace, anonymous tenant, priority 0, no
 // deadline.
 type SubmitOptions struct {
-	// TraceID binds the sweep's spans to an existing trace; empty means a
-	// fresh one.
+	// TraceID binds the sweep's spans — locally and on the nodes its
+	// scenarios are proxied to — to an existing trace; empty means a fresh
+	// one.
 	TraceID string
 	// Tenant is the admission principal (resolved by the HTTP layer from
 	// the request's API key); empty means AnonymousTenant. An undeclared
@@ -1002,9 +983,8 @@ type hopResult struct {
 // or the first routable replica). With hedging armed (ClusterOptions.
 // HedgeAfter > 0) and a second target available, a hedge fires the same
 // fingerprint at that replica once the primary has been silent for the
-// hedge delay — or immediately, when the primary's observed latency
-// quantile already exceeds the delay. First good response wins; the loser
-// is cancelled before its response could be adopted, which preserves
+// hedge delay. First good response wins; the loser is cancelled before
+// its response could be adopted, which preserves
 // exactly-once structurally: each side serves through its own cache and
 // singleflight, the coordinator adopts exactly one result, and the
 // replication push reconciles the winner's envelope across the replica
@@ -1030,13 +1010,7 @@ func (m *Manager) proxyHedged(j *Job, i int, rt route) (dynring.RunResponse, str
 	pending := 1
 	var hedgeC <-chan time.Time
 	if m.hedgeAfter > 0 && len(rt.targets) > 1 {
-		delay := m.hedgeAfter
-		if m.peerLatencyHigh(rt.targets[0], delay) {
-			// The primary's recent p90 already exceeds the hedge delay:
-			// waiting it out again is pure tail latency, fire now.
-			delay = 0
-		}
-		t := time.NewTimer(delay)
+		t := time.NewTimer(m.hedgeAfter)
 		defer t.Stop()
 		hedgeC = t.C
 	}
@@ -1090,8 +1064,8 @@ func (m *Manager) proxyHedged(j *Job, i int, rt route) (dynring.RunResponse, str
 // (and through it the peer's breaker), while a hop cancelled from our own
 // side (a hedge lost its race, the job was cancelled) is not evidence
 // against the peer and feeds nothing. Successful hops report their RTT to
-// the breaker and the hedging latency window. Retries are disabled on the
-// hop: the local fallback IS the retry, and it cannot lose work. A tenant
+// the breaker. Retries are disabled on the hop: the local fallback IS the
+// retry, and it cannot lose work. A tenant
 // the target does not know (config skew across the cluster) is rejected
 // there with 401, which lands here as a failed hop and degrades to the
 // same fallback.
@@ -1137,60 +1111,9 @@ func (m *Manager) proxyRun(ctx context.Context, target string, sc dynring.Scenar
 		return dynring.RunResponse{}, false
 	}
 	m.membership.ObserveRTT(target, rtt)
-	m.recordPeerLatency(target, rtt)
 	m.met.proxyRTT.Observe(rtt.Seconds())
 	m.proxied.Add(1)
 	return rr, true
-}
-
-// latWindow is a fixed-size ring of one peer's recent successful proxy
-// RTTs; the hedging decision reads its p90.
-type latWindow struct {
-	samples [latWindowSize]time.Duration
-	n       int // filled samples, ≤ latWindowSize
-	next    int
-}
-
-func (w *latWindow) add(d time.Duration) {
-	w.samples[w.next] = d
-	w.next = (w.next + 1) % latWindowSize
-	if w.n < latWindowSize {
-		w.n++
-	}
-}
-
-// p90 returns the window's 90th-percentile sample (0 when empty).
-func (w *latWindow) p90() time.Duration {
-	if w.n == 0 {
-		return 0
-	}
-	sorted := make([]time.Duration, w.n)
-	copy(sorted, w.samples[:w.n])
-	slices.Sort(sorted)
-	return sorted[w.n*9/10]
-}
-
-// recordPeerLatency adds one successful proxy RTT to target's window.
-func (m *Manager) recordPeerLatency(target string, rtt time.Duration) {
-	m.latMu.Lock()
-	defer m.latMu.Unlock()
-	w, ok := m.peerLat[target]
-	if !ok {
-		w = &latWindow{}
-		m.peerLat[target] = w
-	}
-	w.add(rtt)
-}
-
-// peerLatencyHigh reports whether target's observed p90 proxy RTT is at
-// or above threshold — the quantile signal that makes a hedge fire
-// immediately instead of waiting out the hedge delay. A peer with no
-// recorded RTTs reports false (no evidence, no haste).
-func (m *Manager) peerLatencyHigh(target string, threshold time.Duration) bool {
-	m.latMu.Lock()
-	defer m.latMu.Unlock()
-	w, ok := m.peerLat[target]
-	return ok && w.n > 0 && w.p90() >= threshold
 }
 
 // ExecuteLocal runs one scenario on this node — cache tiers first, then an

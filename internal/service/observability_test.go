@@ -212,7 +212,7 @@ func TestTracePropagatesCallerID(t *testing.T) {
 	m := mustNew(t, Options{Workers: 2, CacheSize: 64})
 	defer m.Close()
 	const want = "feedfacecafebeef"
-	j, err := m.SubmitTraced(testSpec(), want)
+	j, err := m.SubmitJob(testSpec(), SubmitOptions{TraceID: want})
 	if err != nil {
 		t.Fatal(err)
 	}

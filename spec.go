@@ -404,8 +404,8 @@ func (s Scenario) WireSpec() (ScenarioSpec, error) {
 // job is exactly that scenario list, in order, and Base plus every axis
 // must be empty (mixing the two forms is rejected — a grid silently glued
 // to a list would make the job's row order ambiguous). The explicit form
-// is how the cluster-routing client ships each owner its share of an
-// expanded grid; axis-form specs remain the wire format for whole grids.
+// submits a hand-picked set of scenarios that no grid expresses; axis-form
+// specs remain the wire format for whole grids.
 type SweepSpec struct {
 	Base        ScenarioSpec    `json:"base"`
 	Algorithms  []string        `json:"algorithms,omitempty"`

@@ -7,10 +7,11 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"dynring"
+	"dynring/internal/agent"
+	"dynring/internal/sim"
 )
 
 // acceptanceSweep is the 4-algorithm × 5-size × 10-seed grid (200
@@ -337,23 +338,44 @@ func TestAggregateErrorOnlyCell(t *testing.T) {
 	}
 }
 
-// TestSweepStreamFunc: the job hook executes every expanded scenario through
-// the supplied runner, preserving grid order and per-scenario identity.
-func TestSweepStreamFunc(t *testing.T) {
-	sw := dynring.Sweep{
-		Base:    dynring.Scenario{Landmark: 0, Algorithm: "LandmarkWithChirality"},
-		Sizes:   []int{6, 8},
-		Seeds:   []int64{1, 2, 3},
-		Workers: 4,
+// faultOnBlock is a one-agent protocol that walks right and terminates
+// after three moves, but faults as soon as it finds itself stuck on a port
+// — so a run errors exactly when its adversary blocks the agent.
+type faultOnBlock struct{ moves int }
+
+func (p *faultOnBlock) Step(v dynring.View) (dynring.Decision, error) {
+	if v.OnPort {
+		return dynring.Decision{}, errors.New("blocked")
 	}
-	var calls atomic.Int64
-	ch, err := sw.StreamFunc(context.Background(),
-		func(_ context.Context, sc dynring.Scenario) (dynring.Result, error) {
-			calls.Add(1)
-			// A deterministic stand-in result tagged with the scenario size,
-			// as a cache or remote executor would produce.
-			return dynring.Result{Rounds: sc.Size}, nil
-		})
+	if p.moves == 3 {
+		return agent.Terminate, nil
+	}
+	p.moves++
+	return agent.Move(agent.Right), nil
+}
+
+func (p *faultOnBlock) State() string { return "walk" }
+
+func (p *faultOnBlock) Clone() dynring.Protocol { c := *p; return &c }
+
+// TestSweepStreamRowErrorKeepsGrid: an engine failure on one row surfaces
+// as that row's error (a protocol fault here) without stopping the rest of
+// the grid.
+func TestSweepStreamRowErrorKeepsGrid(t *testing.T) {
+	sw := dynring.Sweep{
+		Base: dynring.Scenario{
+			Size: 8, Landmark: 0, MaxRounds: 20,
+			NewProtocols: func() ([]dynring.Protocol, error) {
+				return []dynring.Protocol{&faultOnBlock{}}, nil
+			},
+		},
+		Adversaries: []dynring.SweepAdversary{
+			{Name: "greedy", New: dynring.Fixed(dynring.GreedyBlocking())},
+			{Name: "static"},
+		},
+		Workers: 2,
+	}
+	ch, err := sw.Stream(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,47 +383,14 @@ func TestSweepStreamFunc(t *testing.T) {
 	for r := range ch {
 		got = append(got, r)
 	}
-	if len(got) != 6 || calls.Load() != 6 {
-		t.Fatalf("%d results, %d calls", len(got), calls.Load())
+	if len(got) != 2 {
+		t.Fatalf("%d rows delivered, want 2", len(got))
 	}
-	for i, r := range got {
-		if r.Index != i {
-			t.Fatalf("result %d has index %d", i, r.Index)
-		}
-		if r.Err != nil || r.Result.Rounds != r.Scenario.Size {
-			t.Fatalf("runner result not threaded through: %+v", r)
-		}
+	if !errors.Is(got[0].Err, sim.ErrProtocolFault) {
+		t.Fatalf("blocked row: err=%v, want a protocol fault", got[0].Err)
 	}
-}
-
-// TestSweepStreamFuncRunnerError: runner failures surface per scenario like
-// engine failures, without stopping the grid.
-func TestSweepStreamFuncRunnerError(t *testing.T) {
-	sw := dynring.Sweep{
-		Base:  dynring.Scenario{Size: 8, Landmark: 0, Algorithm: "LandmarkWithChirality"},
-		Seeds: []int64{1, 2},
-	}
-	boom := errors.New("runner exploded")
-	ch, err := sw.StreamFunc(context.Background(),
-		func(_ context.Context, sc dynring.Scenario) (dynring.Result, error) {
-			if strings.HasSuffix(sc.Name, "seed=1") {
-				return dynring.Result{}, boom
-			}
-			return dynring.Result{Rounds: 1}, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var errs, oks int
-	for r := range ch {
-		if r.Err != nil {
-			errs++
-		} else {
-			oks++
-		}
-	}
-	if errs != 1 || oks != 1 {
-		t.Fatalf("errs=%d oks=%d", errs, oks)
+	if got[1].Err != nil || got[1].Result.Outcome != dynring.OutcomeAllTerminated {
+		t.Fatalf("static row: err=%v outcome=%v", got[1].Err, got[1].Result.Outcome)
 	}
 }
 
