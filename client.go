@@ -43,6 +43,14 @@ const (
 	DeadlineHeader = "X-Dynring-Deadline"
 )
 
+// AdopterHeader carries a cluster coordinator's advertised URL on the POST
+// /v1/run proxy hop. The coordinator stores the hop's result itself, so
+// the owner's replication push skips that member. The owner ignores a
+// value that is not a current cluster member. The header is not
+// authenticated: a caller that names a real replica in it delays that
+// replica's copy of the envelope until the next anti-entropy pass.
+const AdopterHeader = "X-Dynring-Adopter"
+
 // JobStatus is the service's snapshot of one sweep job.
 type JobStatus struct {
 	ID string `json:"id"`
@@ -315,17 +323,13 @@ type errorDoc struct {
 // terminal. A 429 carrying Retry-After waits out the server's hint instead
 // of the computed backoff step.
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
-	return c.doTraced(ctx, method, path, nil, body, out)
+	return c.doTraced(ctx, method, path, submitOptions{}, body, out)
 }
 
 // doTraced is do with submission options (trace ID, tenant, priority,
 // deadline) rendered as headers on every attempt, so retried requests stay
 // attributed to the same trace and tenant.
-func (c *Client) doTraced(ctx context.Context, method, path string, opts []SubmitOption, body, out any) error {
-	var so submitOptions
-	for _, opt := range opts {
-		opt(&so)
-	}
+func (c *Client) doTraced(ctx context.Context, method, path string, so submitOptions, body, out any) error {
 	var buf []byte
 	if body != nil {
 		var err error
@@ -388,8 +392,19 @@ func (c *Client) doOnce(ctx context.Context, method, path string, so *submitOpti
 		_, err = io.Copy(io.Discard, resp.Body)
 		return err
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return err
+	}
+	// Read to EOF so the connection is pooled, by the same rule and limit
+	// as the nodes' internal/cluster.Drain (this package does not import
+	// it): the decoder stops short of a chunked body's terminator.
+	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxDrainBytes))
+	return nil
 }
+
+// maxDrainBytes bounds how much of a response's tail doOnce reads past the
+// decoded JSON value; it equals internal/cluster.DrainLimit.
+const maxDrainBytes = 64 << 10
 
 // serverError is a non-2xx response as an error; Code drives the retry
 // decision and RetryAfter (from a 429's Retry-After header) the backoff.
@@ -462,6 +477,21 @@ type submitOptions struct {
 	priority  *int
 	deadline  time.Duration
 	trace     string
+	adopter   string
+	// replayable marks the request idempotent for net/http, which then
+	// replays it once on a fresh connection when a pooled one turns out
+	// to have been closed by the peer. Set only where the server makes
+	// repeats harmless.
+	replayable bool
+}
+
+// applyOptions folds opts into one submitOptions.
+func applyOptions(opts []SubmitOption) submitOptions {
+	var so submitOptions
+	for _, opt := range opts {
+		opt(&so)
+	}
+	return so
 }
 
 // WithTenant submits under the given tenant API key, overriding the
@@ -491,6 +521,13 @@ func WithTrace(id string) SubmitOption {
 	return func(o *submitOptions) { o.trace = id }
 }
 
+// WithAdopter sends url in AdopterHeader on RunScenario: the caller is a
+// cluster member that stores the result itself, so the node need not
+// replicate it back. An empty url sends no header.
+func WithAdopter(url string) SubmitOption {
+	return func(o *submitOptions) { o.adopter = url }
+}
+
 // setHeaders renders the options onto request headers.
 func (o *submitOptions) setHeaders(h http.Header) {
 	if o.trace != "" {
@@ -505,6 +542,14 @@ func (o *submitOptions) setHeaders(h http.Header) {
 	if o.deadline > 0 {
 		h.Set(DeadlineHeader, o.deadline.String())
 	}
+	if o.adopter != "" {
+		h.Set(AdopterHeader, o.adopter)
+	}
+	if o.replayable {
+		// An empty Idempotency-Key entry is net/http's marker for a
+		// replayable request; it is not sent on the wire.
+		h["Idempotency-Key"] = nil
+	}
 }
 
 // SubmitSweep submits a grid and returns the new job's status. The job runs
@@ -512,7 +557,7 @@ func (o *submitOptions) setHeaders(h http.Header) {
 // CancelSweep.
 func (c *Client) SubmitSweep(ctx context.Context, spec SweepSpec, opts ...SubmitOption) (JobStatus, error) {
 	var st JobStatus
-	err := c.doTraced(ctx, http.MethodPost, "/v1/sweeps", opts, spec, &st)
+	err := c.doTraced(ctx, http.MethodPost, "/v1/sweeps", applyOptions(opts), spec, &st)
 	return st, err
 }
 

@@ -2,8 +2,10 @@ package dynring_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -316,5 +318,42 @@ func TestClientRejectsTruncatedStream(t *testing.T) {
 				t.Fatalf("fn saw %d rows, terminal row must not be delivered", rows)
 			}
 		})
+	}
+}
+
+// TestClientKeepsConnectionOnLargeResponse: a JSON reply big enough to be
+// chunked (the server buffers only 2 KiB before switching) ends with a
+// terminator the decoder never reads. The client reads the body to EOF
+// before closing it, so repeated calls share one pooled connection instead
+// of redialling each time.
+func TestClientKeepsConnectionOnLargeResponse(t *testing.T) {
+	tr := dynring.SweepTrace{SweepID: "sw-1", TraceID: "t"}
+	for i := 0; i < 64; i++ {
+		tr.Spans = append(tr.Spans, dynring.TraceSpan{Index: i, Name: strings.Repeat("x", 40), Node: "local", Kind: "executed"})
+	}
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(tr)
+	}))
+	var conns atomic.Int32
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	c := &dynring.Client{BaseURL: srv.URL, HTTPClient: srv.Client()}
+	for i := 0; i < 10; i++ {
+		got, err := c.SweepTrace(context.Background(), "sw-1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Spans) != len(tr.Spans) {
+			t.Fatalf("call %d: %d spans, want %d", i, len(got.Spans), len(tr.Spans))
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("10 SweepTrace calls opened %d connections, want 1", n)
 	}
 }

@@ -89,9 +89,15 @@ func (c *Client) ClusterStatus(ctx context.Context) (ClusterStatus, error) {
 // span under the caller's trace, and WithDeadline bounds the node's
 // execution by a remaining budget. The cluster proxy hop uses both, so a
 // job's deadline follows the work across every node it visits, each hop
-// forwarding only what is left of it.
+// forwarding only what is left of it. The hop also sends WithAdopter: the
+// coordinator stores the result, so the owner does not push it back. A
+// scenario's result is a function of its fingerprint, so repeating the
+// request is harmless and it is always marked replayable: a pooled
+// connection the node closed while idle costs a replay, not a failed call.
 func (c *Client) RunScenario(ctx context.Context, spec ScenarioSpec, opts ...SubmitOption) (RunResponse, error) {
 	var rr RunResponse
-	err := c.doTraced(ctx, http.MethodPost, "/v1/run", opts, RunRequest{Scenario: spec}, &rr)
+	so := applyOptions(opts)
+	so.replayable = true
+	err := c.doTraced(ctx, http.MethodPost, "/v1/run", so, RunRequest{Scenario: spec}, &rr)
 	return rr, err
 }

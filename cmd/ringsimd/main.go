@@ -220,12 +220,12 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 		pmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		pmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		pmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		pprofSrv = &http.Server{Handler: pmux}
+		pprofSrv = newServer(pmux)
 		fmt.Fprintf(out, "ringsimd pprof on http://%s/debug/pprof/\n", pln.Addr())
 		go func() { _ = pprofSrv.Serve(pln) }()
 	}
 
-	srv := &http.Server{Handler: service.NewHandler(mgr)}
+	srv := newServer(service.NewHandler(mgr))
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
@@ -246,6 +246,23 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 	err = srv.Shutdown(shutdownCtx)
 	fmt.Fprintln(out, "ringsimd: shut down")
 	return err
+}
+
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers: a stalled or malicious client cannot pin a connection
+// and its goroutine forever. Bodies and result streams are not bounded by
+// it — a results stream legitimately lasts as long as its sweep.
+const readHeaderTimeout = 10 * time.Second
+
+// idleTimeout closes keep-alive connections idle this long. It is longer
+// than the peer transport's idle timeout (service.PeerIdleConnTimeout), so
+// the sending node normally retires an idle peer connection first and
+// never writes a hop onto a connection this server is closing.
+const idleTimeout = 2 * service.PeerIdleConnTimeout
+
+// newServer wraps h in the daemon's http.Server with its timeouts.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // newLogger builds the process logger from the -log-level and -log-format

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"net/http"
 	"regexp"
 	"strings"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"dynring"
+	"dynring/internal/service"
 )
 
 // syncBuffer is a goroutine-safe bytes.Buffer: run() writes from the server
@@ -105,5 +107,23 @@ func TestBootSubmitShutdown(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "shut down") {
 		t.Fatalf("no shutdown line:\n%s", out.String())
+	}
+}
+
+// TestServerTimeouts: the daemon's server bounds header reads, and keeps
+// idle connections longer than peers keep theirs pooled — so the sending
+// side retires an idle peer connection first, and a proxy hop is not
+// written onto a connection the server is closing.
+func TestServerTimeouts(t *testing.T) {
+	srv := newServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want a bound", srv.ReadHeaderTimeout)
+	}
+	if srv.IdleTimeout <= service.PeerIdleConnTimeout {
+		t.Fatalf("IdleTimeout = %v, want longer than the peer transport's %v",
+			srv.IdleTimeout, service.PeerIdleConnTimeout)
+	}
+	if tr := service.NewPeerTransport(1); tr.IdleConnTimeout != service.PeerIdleConnTimeout {
+		t.Fatalf("peer transport IdleConnTimeout = %v, want %v", tr.IdleConnTimeout, service.PeerIdleConnTimeout)
 	}
 }

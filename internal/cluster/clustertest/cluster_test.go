@@ -453,8 +453,7 @@ func TestClusterAntiEntropyRaceHammer(t *testing.T) {
 // readStream fetches one NDJSON result stream through the plan transport.
 func readStream(t *testing.T, c *Cluster, url string) []byte {
 	t.Helper()
-	httpc := &http.Client{Transport: c.Plan.Transport("client")}
-	resp, err := httpc.Get(url)
+	resp, err := c.client.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -62,9 +63,10 @@ type Options struct {
 // transport consults.
 type Cluster struct {
 	// Plan injects faults into all cluster and client traffic.
-	Plan  *FaultPlan
-	t     *testing.T
-	nodes []*Node
+	Plan   *FaultPlan
+	t      *testing.T
+	nodes  []*Node
+	client *http.Client // shared by every Client, as party "client"
 }
 
 // Node is one cluster member: a full service.Manager behind a real
@@ -81,7 +83,12 @@ type Node struct {
 	DataDir string
 	srv     *http.Server
 	crashed bool
+	conns   atomic.Int64 // connections the listener accepted
 }
+
+// Accepted counts the TCP connections node's listener has accepted since
+// boot, from peers and clients alike.
+func (n *Node) Accepted() int64 { return n.conns.Load() }
 
 // Start boots opts.Nodes members on loopback listeners, each seeded with
 // the full peer list and the plan's transport, and waits until every node
@@ -117,7 +124,9 @@ func Start(t *testing.T, opts Options) *Cluster {
 		lns[i] = ln
 		urls[i] = "http://" + ln.Addr().String()
 	}
-	c := &Cluster{Plan: plan, t: t, nodes: make([]*Node, opts.Nodes)}
+	c := &Cluster{Plan: plan, t: t, nodes: make([]*Node, opts.Nodes),
+		client: &http.Client{Transport: plan.Transport("client")}}
+	t.Cleanup(c.client.CloseIdleConnections)
 	for i := range c.nodes {
 		o := service.Options{Workers: opts.Workers, CacheSize: opts.CacheSize,
 			Tenants: opts.Tenants, ShedQueueDepth: opts.ShedQueueDepth,
@@ -131,7 +140,7 @@ func Start(t *testing.T, opts Options) *Cluster {
 			ProbeInterval:       opts.ProbeInterval,
 			ProbeTimeout:        opts.ProbeTimeout,
 			Replicas:            opts.Replicas,
-			Transport:           plan.Transport(urls[i]),
+			Transport:           plan.wrap(urls[i], service.NewPeerTransport(opts.Workers)),
 			AntiEntropyInterval: opts.AntiEntropyInterval,
 			ProxyTimeout:        opts.ProxyTimeout,
 			HedgeAfter:          opts.HedgeAfter,
@@ -142,9 +151,16 @@ func Start(t *testing.T, opts Options) *Cluster {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := &http.Server{Handler: service.NewHandler(m)}
+		n := &Node{Manager: m, URL: urls[i], DataDir: o.DiskDir}
+		srv := &http.Server{Handler: service.NewHandler(m),
+			ConnState: func(_ net.Conn, s http.ConnState) {
+				if s == http.StateNew {
+					n.conns.Add(1)
+				}
+			}}
+		n.srv = srv
 		go srv.Serve(lns[i])
-		c.nodes[i] = &Node{Manager: m, URL: urls[i], DataDir: o.DiskDir, srv: srv}
+		c.nodes[i] = n
 		t.Cleanup(func() {
 			srv.Close()
 			m.Close()
@@ -163,10 +179,7 @@ func (c *Cluster) Size() int { return len(c.nodes) }
 // Client returns a client pointed at node i, with all its traffic subject
 // to the fault plan (as party "client").
 func (c *Cluster) Client(i int) *dynring.Client {
-	return &dynring.Client{
-		BaseURL:    c.nodes[i].URL,
-		HTTPClient: &http.Client{Transport: c.Plan.Transport("client")},
-	}
+	return &dynring.Client{BaseURL: c.nodes[i].URL, HTTPClient: c.client}
 }
 
 // Crash simulates SIGKILL of node i: its listener closes (in-flight

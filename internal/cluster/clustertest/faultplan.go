@@ -21,6 +21,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"dynring/internal/service"
 )
 
 // FaultPlan is a seeded, scriptable fault schedule shared by every
@@ -152,11 +154,17 @@ func (p *FaultPlan) OnRequest(fn func(from, to, path string)) {
 	p.watch = fn
 }
 
-// Transport wraps the default transport with this plan's faults, stamped
-// with the sending party's identity (a node URL, or any label like
-// "client" for the test's own traffic).
+// Transport wraps a fresh pooled transport (service.NewPeerTransport)
+// with this plan's faults, stamped with the sending party's identity (a
+// node URL, or any label like "client" for the test's own traffic). Fault
+// tests thus reuse connections exactly as production nodes do.
 func (p *FaultPlan) Transport(from string) http.RoundTripper {
-	return &planTripper{plan: p, from: from, next: http.DefaultTransport}
+	return p.wrap(from, service.NewPeerTransport(0))
+}
+
+// wrap layers the plan's faults over next for party from.
+func (p *FaultPlan) wrap(from string, next *http.Transport) *planTripper {
+	return &planTripper{plan: p, from: from, next: next}
 }
 
 // admit advances the global step, applies due KillAt entries, and rules on
@@ -210,8 +218,12 @@ func pair(a, b string) [2]string {
 type planTripper struct {
 	plan *FaultPlan
 	from string
-	next http.RoundTripper
+	next *http.Transport
 }
+
+// CloseIdleConnections closes the pooled connections underneath, so
+// http.Client.CloseIdleConnections (called by Manager.Close) reaches them.
+func (t *planTripper) CloseIdleConnections() { t.next.CloseIdleConnections() }
 
 // RoundTrip consults the plan before forwarding; injected failures surface
 // to callers exactly like transport errors (wrapped in *url.Error by

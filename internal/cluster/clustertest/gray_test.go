@@ -218,8 +218,7 @@ func (c *Cluster) postSweepHdr(t *testing.T, i int, spec dynring.SweepSpec, hdr 
 	for k, v := range hdr {
 		req.Header.Set(k, v)
 	}
-	httpc := &http.Client{Transport: c.Plan.Transport("client")}
-	resp, err := httpc.Do(req)
+	resp, err := c.client.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}

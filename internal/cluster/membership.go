@@ -347,6 +347,18 @@ type clusterDoc struct {
 	} `json:"peers"`
 }
 
+// DrainLimit bounds how much of a response body Drain reads.
+const DrainLimit = 64 << 10
+
+// Drain reads what is left of a peer response body, up to DrainLimit, so
+// net/http pools the connection instead of dropping it: a JSON decoder
+// stops short of a chunked body's terminator, and a body closed before EOF
+// costs its connection. A peer that keeps talking past the limit is not
+// worth a connection.
+func Drain(body io.Reader) {
+	io.Copy(io.Discard, io.LimitReader(body, DrainLimit))
+}
+
 // httpProbe is the default prober: GET <peer>/v1/cluster. Any 2xx counts
 // as alive; the response's member list (minus peers the remote itself
 // considers left) is the gossip payload, and the remote's self entry
@@ -363,11 +375,13 @@ func (m *Membership) httpProbe(ctx context.Context, url string) (ProbeReport, er
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+		Drain(resp.Body)
 		return ProbeReport{}, fmt.Errorf("probe %s: %s", url, resp.Status)
 	}
 	var doc clusterDoc
-	if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&doc) != nil {
+	err = json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&doc)
+	Drain(resp.Body)
+	if err != nil {
 		return ProbeReport{}, nil
 	}
 	var report ProbeReport
@@ -679,7 +693,7 @@ func (m *Membership) broadcast(path string, timeout time.Duration) {
 			req.Header.Set("Content-Type", "application/json")
 			resp, err := m.client.Do(req)
 			if err == nil {
-				io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+				Drain(resp.Body)
 				resp.Body.Close()
 			}
 		}(url)

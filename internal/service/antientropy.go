@@ -22,8 +22,11 @@ import (
 // disk tier's own write queue) and a background loop POSTs it to every
 // other member of the fingerprint's replica set via /v1/replicate; the
 // receiver lands it in its tiers through its own asynchronous disk write
-// queue. Pushes are best-effort: a dead replica misses the push and is
-// healed by anti-entropy instead.
+// queue. The one member skipped is the adopter: a coordinator that
+// proxied the fingerprint here names itself in AdopterHeader and stores
+// the hop's result in its own tiers, so a push back would write the same
+// envelope twice. Pushes are best-effort: a dead replica misses the push
+// and is healed by anti-entropy instead.
 //
 // Anti-entropy makes replica -data directories converge to the set union
 // of their envelopes. Content addressing is what reduces reconciliation to
@@ -37,10 +40,12 @@ import (
 // the serving side's Durable read rejects a corrupt entry, so corruption
 // can be repaired from a healthy peer but never propagated to one.
 
-// replItem is one queued replication push.
+// replItem is one queued replication push; adopter is the member that
+// already holds the envelope ("" for none).
 type replItem struct {
-	fp  string
-	res dynring.Result
+	fp      string
+	res     dynring.Result
+	adopter string
 }
 
 // replicateRequest is the wire body of POST /v1/replicate and the response
@@ -61,14 +66,14 @@ type antiEntropyKeys struct {
 // knob governs how long this node will wait on any peer.
 
 // replicate queues fp's completed envelope for push to its other
-// replicas. No-op when unreplicated. A full queue blocks (backpressure)
-// unless the manager is shutting down.
-func (m *Manager) replicate(fp string, res dynring.Result) {
+// replicas except adopter. No-op when unreplicated. A full queue blocks
+// (backpressure) unless the manager is shutting down.
+func (m *Manager) replicate(fp string, res dynring.Result, adopter string) {
 	if m.membership == nil || m.replicas < 2 {
 		return
 	}
 	select {
-	case m.replq <- replItem{fp: fp, res: res}:
+	case m.replq <- replItem{fp: fp, res: res, adopter: adopter}:
 	case <-m.auxStop:
 	}
 }
@@ -80,22 +85,23 @@ func (m *Manager) replicationLoop() {
 		case <-m.auxStop:
 			return
 		case it := <-m.replq:
-			m.pushReplicas(it.fp, it.res)
+			m.pushReplicas(it)
 		}
 	}
 }
 
 // pushReplicas sends one envelope to every other currently-alive member of
-// its replica set. A dead or unreachable replica is skipped — anti-entropy
-// repairs it on recovery.
-func (m *Manager) pushReplicas(fp string, res dynring.Result) {
+// its replica set but the adopter. Only a current member can match, so an
+// adopter value naming no member skips nothing. A dead or unreachable
+// replica is skipped — anti-entropy repairs it on recovery.
+func (m *Manager) pushReplicas(it replItem) {
 	self := m.membership.Self()
-	for _, o := range m.membership.Ring().Owners(fp, m.replicas) {
-		if o == self || !m.membership.Alive(o) {
+	for _, o := range m.membership.Ring().Owners(it.fp, m.replicas) {
+		if o == self || o == it.adopter || !m.membership.Alive(o) {
 			continue
 		}
-		if err := m.postReplicate(o, fp, res); err != nil {
-			m.log.Warn("replication push failed", "fingerprint", fp, "target", o, "error", err)
+		if err := m.postReplicate(o, it.fp, it.res); err != nil {
+			m.log.Warn("replication push failed", "fingerprint", it.fp, "target", o, "error", err)
 		}
 	}
 }
@@ -113,6 +119,9 @@ func (m *Manager) postReplicate(target, fp string, res dynring.Result) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	// Adoption is idempotent by fingerprint; the key lets net/http replay
+	// a push that met a pooled connection the peer had just closed.
+	req.Header.Set("Idempotency-Key", fp)
 	// The push's budget rides along, so the receiver bounds its own side
 	// of the hop exactly as /v1/run does with a propagated job deadline.
 	req.Header.Set(DeadlineHeader, m.proxyTimeout.String())
@@ -121,7 +130,7 @@ func (m *Manager) postReplicate(target, fp string, res dynring.Result) error {
 		return err
 	}
 	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+	cluster.Drain(resp.Body)
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		return fmt.Errorf("replicate to %s: %s", target, resp.Status)
 	}
@@ -269,13 +278,14 @@ func (m *Manager) fetchKeys(peer string) ([]string, error) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+		cluster.Drain(resp.Body)
 		return nil, fmt.Errorf("keys from %s: %s", peer, resp.Status)
 	}
 	var doc antiEntropyKeys
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&doc); err != nil {
 		return nil, err
 	}
+	cluster.Drain(resp.Body)
 	return doc.Keys, nil
 }
 
@@ -296,13 +306,14 @@ func (m *Manager) fetchEntry(peer, fp string) (dynring.Result, error) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+		cluster.Drain(resp.Body)
 		return dynring.Result{}, fmt.Errorf("entry %s from %s: %s", fp, peer, resp.Status)
 	}
 	var doc replicateRequest
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&doc); err != nil {
 		return dynring.Result{}, err
 	}
+	cluster.Drain(resp.Body)
 	if doc.Fingerprint != fp {
 		return dynring.Result{}, fmt.Errorf("entry %s from %s: body carries fingerprint %q", fp, peer, doc.Fingerprint)
 	}

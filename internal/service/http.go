@@ -45,7 +45,9 @@ const maxEnvelopeBytes = 8 << 20
 // honors DeadlineHeader as a remaining-budget bound: the coordinator
 // forwards the job's unexpired deadline budget on each hop and the owner
 // caps its execution context to it, so work whose answer can no longer
-// arrive in time is abandoned on the executing node too.
+// arrive in time is abandoned on the executing node too. A hop names its
+// coordinator in dynring.AdopterHeader; the coordinator stores the result
+// itself, so this node's replication push skips it.
 //
 // Admission: on a node with a tenant config, the two work-creating
 // endpoints (POST /v1/sweeps, POST /v1/run) require a configured tenant's
@@ -59,7 +61,9 @@ const maxEnvelopeBytes = 8 << 20
 // the tenant) and DeadlineHeader (Go duration; the job is cancelled when
 // it expires).
 //
-// The results stream is live — rows are flushed as scenarios settle — and,
+// The results stream is live — a row is flushed once the row after it has
+// not settled yet, so settled rows are coalesced but none waits on a
+// running one — and,
 // for a job that ran to completion, byte-identical across repeats and
 // worker counts: rows carry only deterministic fields.
 //
@@ -167,7 +171,16 @@ func NewHandler(m *Manager) http.Handler {
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)
+		// A row is flushed only when the next row has not settled yet, or
+		// after the last: a settled backlog goes out through net/http's
+		// own write buffers, and a row is never held back behind one that
+		// is still running.
 		flusher, _ := w.(http.Flusher)
+		flush := func() {
+			if flusher != nil {
+				flusher.Flush()
+			}
+		}
 		enc := json.NewEncoder(w)
 		for i := from; i < j.Total(); i++ {
 			row, err := j.WaitRow(r.Context(), i)
@@ -183,6 +196,7 @@ func NewHandler(m *Manager) http.Handler {
 					Index: dynring.StreamAbortedIndex,
 					Error: "stream aborted: " + err.Error(),
 				})
+				flush()
 				return
 			}
 			wire := dynring.ResultRow{
@@ -199,8 +213,8 @@ func NewHandler(m *Manager) http.Handler {
 			if err := enc.Encode(wire); err != nil {
 				return
 			}
-			if flusher != nil {
-				flusher.Flush()
+			if i+1 == j.Total() || !j.settled(i+1) {
+				flush()
 			}
 		}
 	})
@@ -251,7 +265,7 @@ func NewHandler(m *Manager) http.Handler {
 			defer cancel()
 		}
 		started := time.Now()
-		res, cached, err := m.ExecuteLocal(runCtx, sc, fp)
+		res, cached, err := m.ExecuteLocal(runCtx, sc, fp, r.Header.Get(dynring.AdopterHeader))
 		resp := dynring.RunResponse{Fingerprint: fp, Cached: cached}
 		// This node's side of the hop, for the coordinator to adopt into
 		// its sweep trace: what happened here, under whose name.

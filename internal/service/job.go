@@ -215,6 +215,13 @@ func (j *Job) WaitRow(ctx context.Context, i int) (Row, error) {
 	return j.rows[i], nil
 }
 
+// settled reports, without blocking, whether row i has settled.
+func (j *Job) settled(i int) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.rows[i].Done
+}
+
 // Wait blocks until the job settles or ctx is cancelled.
 func (j *Job) Wait(ctx context.Context) error {
 	stop := context.AfterFunc(ctx, func() {

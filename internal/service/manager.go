@@ -97,7 +97,12 @@ type ClusterOptions struct {
 	// Transport, when non-nil, underlies every outbound cluster request —
 	// probes, proxy hops, replication pushes, anti-entropy fetches, and
 	// leave/join broadcasts. It is the fault-injection seam clustertest
-	// wraps; nil means the default transport.
+	// wraps. Nil means the node's own pooled transport,
+	// NewPeerTransport(Workers), which keeps enough idle connections per
+	// peer that steady cluster traffic never redials. An override should
+	// pool as generously, or every hop may pay a new TCP connection.
+	// Manager.Close closes its idle connections if it has a
+	// CloseIdleConnections method.
 	Transport http.RoundTripper
 	// AntiEntropyInterval paces the background reconciliation of replica
 	// disk tiers (zero: a 30s default). Only meaningful with Replicas > 1
@@ -163,6 +168,33 @@ const replicateQueueDepth = 256
 // is the historical replicaRPCTimeout value — generous enough for a slow
 // replica, finite so a gray one cannot pin goroutines forever.
 const defaultProxyTimeout = 10 * time.Second
+
+// PeerIdleConnTimeout is how long the peer transport keeps an idle
+// connection to a peer. ringsimd's server IdleTimeout is longer, so the
+// client side normally retires an idle peer connection before the server
+// closes it under a request.
+const PeerIdleConnTimeout = 90 * time.Second
+
+// peerAuxConns counts a node's outbound requests to one peer that are not
+// proxy hops and may be in flight together: the replication loop, the
+// prober, the anti-entropy loop and a leave/join broadcast.
+const peerAuxConns = 4
+
+// NewPeerTransport returns the transport a node sends its cluster traffic
+// through when ClusterOptions.Transport is nil: a clone of
+// http.DefaultTransport whose idle pool covers the node's own outbound
+// concurrency toward one peer — up to 2×workers proxy hops (primary plus
+// hedge) plus peerAuxConns. DefaultTransport keeps only 2 idle connections
+// per host, so busy peers would close and redial a loopback connection
+// every few rows. Non-positive workers means runtime.NumCPU(), as for
+// Options.Workers.
+func NewPeerTransport(workers int) *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = 2*sweep.Workers(workers, 0) + peerAuxConns
+	t.MaxIdleConns = 0 // the per-host bound and the member count bound it
+	t.IdleConnTimeout = PeerIdleConnTimeout
+	return t
+}
 
 // task is one schedulable unit: scenario i of job j.
 type task struct {
@@ -384,7 +416,11 @@ func newManager(opts Options) (*Manager, error) {
 			m.aeInterval = defaultAntiEntropyInterval
 		}
 		m.hedgeAfter = opts.Cluster.HedgeAfter
-		m.proxyHTTP = &http.Client{Transport: opts.Cluster.Transport}
+		rt := opts.Cluster.Transport
+		if rt == nil {
+			rt = NewPeerTransport(m.workers)
+		}
+		m.proxyHTTP = &http.Client{Transport: rt}
 		m.aeKick = make(chan string, 8)
 		m.auxStop = make(chan struct{})
 		m.replq = make(chan replItem, replicateQueueDepth)
@@ -441,8 +477,9 @@ func (m *Manager) Workers() int { return m.workers }
 
 // Close shuts the node down in dependency order: announce the graceful
 // leave and stop probing (so peers stop proxying here), cancel every job
-// and stop the workers, then flush the durable cache tier — the -drain
-// guarantee that every computed result is on disk before exit.
+// and stop the workers, close the idle peer connections, then flush the
+// durable cache tier — the -drain guarantee that every computed result is
+// on disk before exit.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	if m.closed {
@@ -470,6 +507,9 @@ func (m *Manager) Close() {
 		j.markCancelled()
 	}
 	m.wg.Wait()
+	if m.proxyHTTP != nil {
+		m.proxyHTTP.CloseIdleConnections()
+	}
 	m.cache.Close()
 }
 
@@ -895,7 +935,7 @@ func (m *Manager) runTask(t task) {
 			return
 		}
 	}
-	res, cached, err := m.ExecuteLocal(j.ctx, j.scenarios[i], fp)
+	res, cached, err := m.ExecuteLocal(j.ctx, j.scenarios[i], fp, "")
 	if rt.steal && err == nil && !cached {
 		m.steals.Add(1)
 	}
@@ -1057,10 +1097,14 @@ func (m *Manager) proxyHedged(j *Job, i int, rt route) (dynring.RunResponse, str
 // remaining deadline budget), and that remaining budget is forwarded in
 // DeadlineHeader so the target bounds its own execution too — the
 // deadline a client set on POST /v1/sweeps follows the work across every
-// hop it takes. The second return is false when the caller should fall
-// back (next replica, then local execution): the scenario has no wire
-// form (custom factory), the budget is already spent, or the target
-// failed — a genuine failure also feeds the membership's failure evidence
+// hop it takes. The hop names this node in AdopterHeader: the caller
+// adopts the result into its own tiers, so the target's replication push
+// skips it. RunScenario marks the hop replayable, so net/http replays a
+// hop that met a pooled connection the peer had just closed instead of
+// failing it. The second return is false when the
+// caller should fall back (next replica, then local execution): the
+// scenario has no wire form (custom factory), the budget is already
+// spent, or the target failed — a genuine failure also feeds the membership's failure evidence
 // (and through it the peer's breaker), while a hop cancelled from our own
 // side (a hedge lost its race, the job was cancelled) is not evidence
 // against the peer and feeds nothing. Successful hops report their RTT to
@@ -1089,7 +1133,8 @@ func (m *Manager) proxyRun(ctx context.Context, target string, sc dynring.Scenar
 	defer cancel()
 	c := &dynring.Client{BaseURL: target, HTTPClient: m.proxyHTTP, Retries: -1, TenantKey: m.TenantKey(tenant)}
 	hop := time.Now()
-	rr, err := c.RunScenario(hopCtx, sp, dynring.WithTrace(traceID), dynring.WithDeadline(budget))
+	rr, err := c.RunScenario(hopCtx, sp, dynring.WithTrace(traceID), dynring.WithDeadline(budget),
+		dynring.WithAdopter(m.membership.Self()))
 	rtt := time.Since(hop)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -1129,7 +1174,11 @@ func (m *Manager) proxyRun(ctx context.Context, target string, sc dynring.Scenar
 // Failures are never cached: validation errors are caught at Submit, so
 // what remains — cancellation, panic — must not poison later runs of the
 // fingerprint.
-func (m *Manager) ExecuteLocal(ctx context.Context, sc dynring.Scenario, fp string) (dynring.Result, bool, error) {
+//
+// adopter is the advertised URL of a coordinator that proxied the scenario
+// here and stores the result itself ("" for none); the replication push
+// skips it.
+func (m *Manager) ExecuteLocal(ctx context.Context, sc dynring.Scenario, fp, adopter string) (dynring.Result, bool, error) {
 	if fp == "" {
 		res, err := m.execute(ctx, sc)
 		return res, false, err
@@ -1139,7 +1188,7 @@ func (m *Manager) ExecuteLocal(ctx context.Context, sc dynring.Scenario, fp stri
 		// Push the completed envelope toward fp's other replicas; the
 		// replication loop fans it out to each replica's disk tier through
 		// that node's own async write queue.
-		m.replicate(fp, res)
+		m.replicate(fp, res, adopter)
 	}
 	return res, shared, err
 }

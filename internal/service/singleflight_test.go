@@ -46,7 +46,7 @@ func TestExecuteLocalDedupesWithCacheOff(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, shared, err := m.ExecuteLocal(context.Background(), sc, fp)
+			res, shared, err := m.ExecuteLocal(context.Background(), sc, fp, "")
 			if err != nil {
 				t.Errorf("caller %d: %v", i, err)
 				return
