@@ -99,9 +99,6 @@ type Config struct {
 	// Peers are the seed peers to bootstrap from; Self is filtered out, so
 	// every node of a cluster can be started with the identical list.
 	Peers []string
-	// VNodes is the per-member virtual-node count (non-positive:
-	// DefaultVNodes). Every node of a cluster must agree on it.
-	VNodes int
 	// ProbeInterval is the health-probe period (default 1s); ProbeTimeout
 	// bounds one probe (default ProbeInterval).
 	ProbeInterval time.Duration
@@ -645,7 +642,7 @@ func (m *Membership) Ring() *Ring {
 				members = append(members, url)
 			}
 		}
-		m.ring = NewRing(members, m.cfg.VNodes)
+		m.ring = NewRing(members, DefaultVNodes)
 	}
 	return m.ring
 }

@@ -7,8 +7,8 @@ import (
 	"sort"
 )
 
-// DefaultVNodes is the virtual-node count per member when a Ring (or a
-// Membership) is built with a non-positive vnode count. 64 points per
+// DefaultVNodes is the virtual-node count per member of every Membership's
+// ring, and of a Ring built with a non-positive vnode count. 64 points per
 // member keeps the worst member's share within a few percent of fair for
 // small clusters while the ring stays tiny (a 16-node cluster is 1024
 // points).

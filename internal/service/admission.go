@@ -232,8 +232,8 @@ func (m *Manager) brownoutLocked() bool {
 	if m.shedQueueDepth > 0 && m.sched.Len() >= m.shedQueueDepth {
 		return true
 	}
-	if m.shedOpenBreakers > 0 && m.membership != nil &&
-		m.membership.OpenBreakers() >= m.shedOpenBreakers {
+	if m.shedOpenBreakers > 0 && m.router != nil &&
+		m.router.membership.OpenBreakers() >= m.shedOpenBreakers {
 		return true
 	}
 	return false

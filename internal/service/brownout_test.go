@@ -84,9 +84,9 @@ func TestBrownoutShedsOnOpenBreakers(t *testing.T) {
 	}
 	// Two slow proxy observations (RTT >= ProxyTimeout) open the peer's
 	// breaker through the same evidence path proxyRun uses.
-	m.membership.ObserveRTT("http://peer:2", time.Second)
-	m.membership.ObserveRTT("http://peer:2", time.Second)
-	if got := m.membership.OpenBreakers(); got != 1 {
+	m.router.membership.ObserveRTT("http://peer:2", time.Second)
+	m.router.membership.ObserveRTT("http://peer:2", time.Second)
+	if got := m.router.membership.OpenBreakers(); got != 1 {
 		t.Fatalf("OpenBreakers = %d, want 1", got)
 	}
 	if _, err := m.Submit(testSpec()); !errors.Is(err, ErrOverloaded) {

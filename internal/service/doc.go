@@ -15,6 +15,9 @@
 //   - Execution and caching: a content-addressed result cache keyed by
 //     Scenario.Fingerprint, deliberately tenant-agnostic — identical work
 //     from different tenants is admitted separately but executed once.
+//   - Cluster routing (router.go): only on a cluster member, a router
+//     owns membership, placement, the proxy hop with hedging, replication
+//     and anti-entropy; a standalone Manager has no router at all.
 //   - The HTTP/JSON API serving all of it (see NewHandler and
 //     cmd/ringsimd), including resumable NDJSON result streams
 //     (GET /v1/sweeps/{id}/results?from=N).

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dynring"
+	"dynring/internal/cluster"
 )
 
 // maxSpecBytes bounds a POST /v1/sweeps body.
@@ -305,15 +306,22 @@ func NewHandler(m *Manager) http.Handler {
 	// The replication endpoints exist only on a replicated cluster node
 	// (Replicas > 1); elsewhere they 404 — a standalone or unreplicated
 	// node must not adopt third-party envelopes. Like the membership
-	// announcements they are peer-to-peer and stay outside tenant auth:
-	// they create no work, and envelopes are content-addressed (the
-	// receiver re-keys by the embedded fingerprint, so the worst a bogus
-	// push can do is cache a result nobody asks for).
-	mux.HandleFunc("POST /v1/replicate", func(w http.ResponseWriter, r *http.Request) {
-		if !m.Replicated() {
-			writeError(w, http.StatusNotFound, errors.New("replication not enabled"))
-			return
+	// announcements they are peer-to-peer and stay outside tenant auth,
+	// which means they trust their callers: nothing checks that a pushed
+	// Result is what its fingerprint would compute, so any caller can
+	// store an invented Result under a real fingerprint, and later sweeps
+	// are served it. These endpoints, like /v1/cluster/leave and /join,
+	// must be reachable only by cluster members.
+	replicated := func(h http.HandlerFunc) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			if !m.router.replicated() {
+				writeError(w, http.StatusNotFound, errors.New("replication not enabled"))
+				return
+			}
+			h(w, r)
 		}
+	}
+	mux.HandleFunc("POST /v1/replicate", replicated(func(w http.ResponseWriter, r *http.Request) {
 		var req replicateRequest
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEnvelopeBytes))
 		if err := dec.Decode(&req); err != nil {
@@ -324,27 +332,20 @@ func NewHandler(m *Manager) http.Handler {
 			writeError(w, http.StatusBadRequest, errors.New("missing fingerprint"))
 			return
 		}
-		m.AdoptEnvelope(req.Fingerprint, req.Result)
+		// Idempotent and order-free: equal fingerprints, equal results.
+		m.cache.Put(req.Fingerprint, req.Result)
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
+	}))
 
-	mux.HandleFunc("GET /v1/antientropy/keys", func(w http.ResponseWriter, r *http.Request) {
-		if !m.Replicated() {
-			writeError(w, http.StatusNotFound, errors.New("replication not enabled"))
-			return
-		}
-		keys := m.DurableKeys()
+	mux.HandleFunc("GET /v1/antientropy/keys", replicated(func(w http.ResponseWriter, r *http.Request) {
+		keys := m.cache.DurableKeys()
 		if keys == nil {
 			keys = []string{}
 		}
 		writeJSON(w, http.StatusOK, antiEntropyKeys{Keys: keys})
-	})
+	}))
 
-	mux.HandleFunc("GET /v1/antientropy/entry", func(w http.ResponseWriter, r *http.Request) {
-		if !m.Replicated() {
-			writeError(w, http.StatusNotFound, errors.New("replication not enabled"))
-			return
-		}
+	mux.HandleFunc("GET /v1/antientropy/entry", replicated(func(w http.ResponseWriter, r *http.Request) {
 		fp := r.URL.Query().Get("fp")
 		if fp == "" {
 			writeError(w, http.StatusBadRequest, errors.New("missing fp"))
@@ -357,27 +358,26 @@ func NewHandler(m *Manager) http.Handler {
 			return
 		}
 		writeJSON(w, http.StatusOK, replicateRequest{Fingerprint: fp, Result: res})
-	})
+	}))
 
-	mux.HandleFunc("POST /v1/cluster/leave", func(w http.ResponseWriter, r *http.Request) {
-		url, err := decodePeerURL(w, r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		m.PeerLeft(url)
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-
-	mux.HandleFunc("POST /v1/cluster/join", func(w http.ResponseWriter, r *http.Request) {
-		url, err := decodePeerURL(w, r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		m.PeerJoined(url)
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
+	// A peer's graceful-leave and (re)join announcements; a standalone
+	// node accepts and ignores both.
+	for path, apply := range map[string]func(*cluster.Membership, string){
+		"leave": (*cluster.Membership).MarkLeft,
+		"join":  (*cluster.Membership).Rejoin,
+	} {
+		mux.HandleFunc("POST /v1/cluster/"+path, func(w http.ResponseWriter, r *http.Request) {
+			url, err := decodePeerURL(w, r)
+			if err != nil {
+				writeError(w, http.StatusBadRequest, err)
+				return
+			}
+			if m.router != nil {
+				apply(m.router.membership, url)
+			}
+			writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		})
+	}
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})

@@ -5,13 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dynring"
-	"dynring/internal/cluster"
 	"dynring/internal/rescache"
 	"dynring/internal/service/sched"
 	"dynring/internal/sweep"
@@ -68,133 +66,16 @@ type Options struct {
 	Logger *slog.Logger
 }
 
-// ClusterOptions configure cluster membership. The zero value means
-// standalone (no ring, no probing, every scenario executes locally).
-type ClusterOptions struct {
-	// Self is this node's advertised base URL (e.g. "http://host:8080");
-	// setting it enables cluster mode. It must be the URL peers can reach
-	// this node at.
-	Self string
-	// Peers seeds the membership table; Self is filtered out, so every node
-	// can be started with the identical list. Further members are
-	// discovered by gossip.
-	Peers []string
-	// VNodes is the per-member virtual-node count on the placement ring
-	// (non-positive: cluster.DefaultVNodes). All nodes must agree on it.
-	VNodes int
-	// ProbeInterval and ProbeTimeout tune health probing; zero means the
-	// membership defaults (1s, and probe timeout = interval).
-	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
-	// Replicas is the replica-set size k: each fingerprint is placed on its
-	// ring owner plus the next k-1 distinct successors, completed envelopes
-	// are pushed to every replica's disk tier, proxying tries owner then
-	// replicas before the local fallback, and replicas may steal an
-	// overloaded owner's work. Non-positive or 1 means no replication —
-	// exactly the pre-replica single-owner behavior. All nodes must agree
-	// on it.
-	Replicas int
-	// Transport, when non-nil, underlies every outbound cluster request —
-	// probes, proxy hops, replication pushes, anti-entropy fetches, and
-	// leave/join broadcasts. It is the fault-injection seam clustertest
-	// wraps. Nil means the node's own pooled transport,
-	// NewPeerTransport(Workers), which keeps enough idle connections per
-	// peer that steady cluster traffic never redials. An override should
-	// pool as generously, or every hop may pay a new TCP connection.
-	// Manager.Close closes its idle connections if it has a
-	// CloseIdleConnections method.
-	Transport http.RoundTripper
-	// AntiEntropyInterval paces the background reconciliation of replica
-	// disk tiers (zero: a 30s default). Only meaningful with Replicas > 1
-	// and a DiskDir.
-	AntiEntropyInterval time.Duration
-	// ProxyTimeout bounds every outbound replica RPC: proxy hops
-	// (POST /v1/run), replication pushes (POST /v1/replicate), and
-	// anti-entropy fetches. It is the gray-failure backstop — without it a
-	// slow-but-alive owner holds the coordinator's handler goroutine for
-	// as long as the peer cares to stall. Zero means the 10s default
-	// (ringsimd -proxy-timeout). A job deadline tighter than the timeout
-	// bounds the hop further: each hop gets min(ProxyTimeout, remaining
-	// budget).
-	ProxyTimeout time.Duration
-	// HedgeAfter, when positive, arms hedged replica reads: a proxy hop to
-	// a fingerprint's owner that has not answered after this delay fires
-	// the same fingerprint at the next replica, first response wins, the
-	// loser is cancelled before its result could be adopted. Exactly-once
-	// stays structural — both sides serve through their own cache and
-	// singleflight, and the replication push reconciles the winner's
-	// envelope. Zero disables hedging (ringsimd -hedge-after).
-	HedgeAfter time.Duration
-	// BreakerThreshold is the consecutive bad-observation count (proxy
-	// errors, timeouts, slow probe RTTs) that opens a peer's circuit
-	// breaker; an open breaker routes work to the next replica immediately
-	// and reports the peer "degraded". Zero means the breaker default of 5
-	// (ringsimd -breaker-threshold).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker refuses a peer before
-	// admitting a half-open trial (zero: the breaker default of 5s).
-	BreakerCooldown time.Duration
-}
+// maxSweepRows bounds the rows one submission may expand to. It is checked
+// from the spec's axis lengths before expansion: a 13 KB spec of 1500
+// sizes × 1500 seeds would otherwise expand to 2.25 M scenarios (about
+// 750 MB) before admission saw it.
+const maxSweepRows = 1 << 16
 
 // defaultJobHistory is the settled-job retention bound when Options leaves
 // JobHistory unset. Without a bound a long-running service would pin every
 // grid and Result it ever served.
 const defaultJobHistory = 1024
-
-// leaveTimeout bounds the graceful-leave (and join) broadcasts at
-// startup/shutdown; they are best-effort and must not stall either.
-const leaveTimeout = 2 * time.Second
-
-// stealThreshold is the minimum gossiped backlog advantage — owner queue
-// depth minus local queue depth — before a replica pulls an owned
-// fingerprint's work instead of proxying it. Stealing executes work the
-// owner never saw (the steal replaces the proxy hop, it does not race it),
-// so the only cost of stealing too eagerly is losing the owner's
-// singleflight concentration; the threshold keeps the steady state on the
-// owner and reserves stealing for genuine overload.
-const stealThreshold = 8
-
-// defaultAntiEntropyInterval paces replica disk-tier reconciliation when
-// ClusterOptions leaves it unset.
-const defaultAntiEntropyInterval = 30 * time.Second
-
-// replicateQueueDepth bounds the asynchronous replication-push queue.
-// Like the disk tier's write queue, a full queue blocks the producer
-// (backpressure) rather than silently dropping replication.
-const replicateQueueDepth = 256
-
-// defaultProxyTimeout bounds replica RPCs when ClusterOptions.ProxyTimeout
-// is unset: proxy hops, replication pushes, and anti-entropy fetches. It
-// is the historical replicaRPCTimeout value — generous enough for a slow
-// replica, finite so a gray one cannot pin goroutines forever.
-const defaultProxyTimeout = 10 * time.Second
-
-// PeerIdleConnTimeout is how long the peer transport keeps an idle
-// connection to a peer. ringsimd's server IdleTimeout is longer, so the
-// client side normally retires an idle peer connection before the server
-// closes it under a request.
-const PeerIdleConnTimeout = 90 * time.Second
-
-// peerAuxConns counts a node's outbound requests to one peer that are not
-// proxy hops and may be in flight together: the replication loop, the
-// prober, the anti-entropy loop and a leave/join broadcast.
-const peerAuxConns = 4
-
-// NewPeerTransport returns the transport a node sends its cluster traffic
-// through when ClusterOptions.Transport is nil: a clone of
-// http.DefaultTransport whose idle pool covers the node's own outbound
-// concurrency toward one peer — up to 2×workers proxy hops (primary plus
-// hedge) plus peerAuxConns. DefaultTransport keeps only 2 idle connections
-// per host, so busy peers would close and redial a loopback connection
-// every few rows. Non-positive workers means runtime.NumCPU(), as for
-// Options.Workers.
-func NewPeerTransport(workers int) *http.Transport {
-	t := http.DefaultTransport.(*http.Transport).Clone()
-	t.MaxIdleConnsPerHost = 2*sweep.Workers(workers, 0) + peerAuxConns
-	t.MaxIdleConns = 0 // the per-host bound and the member count bound it
-	t.IdleConnTimeout = PeerIdleConnTimeout
-	return t
-}
 
 // task is one schedulable unit: scenario i of job j.
 type task struct {
@@ -203,8 +84,8 @@ type task struct {
 }
 
 // Manager owns the admission layer, the shared worker pool, the job table,
-// the tiered result cache and (in cluster mode) the membership table. It is
-// split in two along the submit path:
+// the tiered result cache and the tracer. It is split in two along the
+// submit path:
 //
 //   - Admission (this type): resolve the request to a tenant, enforce that
 //     tenant's quotas (max queued scenarios, max concurrent jobs —
@@ -224,57 +105,34 @@ type task struct {
 // expiring) aborts its in-flight runs and settles its pending rows without
 // disturbing other jobs.
 //
-// In cluster mode each fingerprint has one owning node on the placement
-// ring. A scenario owned elsewhere is proxied to its owner (POST /v1/run)
-// when that owner looks alive, and executed locally otherwise — the
-// cluster degrades to correct-but-duplicated work, never to unavailability.
-// All local executions funnel through a fingerprint-keyed singleflight, so
-// the owner runs each fingerprint at most once no matter how many workers,
-// jobs or proxy hops ask for it concurrently: cluster-wide exactly-once is
-// routing (concentrate a fingerprint on its owner) plus this dedupe. The
-// result cache and this dedupe are deliberately tenant-blind: results are
-// keyed by scenario fingerprint alone, so identical work from different
-// tenants is charged the admission of both but executed once.
+// In cluster mode the Manager also holds a router (router.go), which owns
+// placement, the proxy hop, replication and anti-entropy; on a standalone
+// node the router is nil. Each fingerprint has one owning node on the
+// placement ring. A scenario owned elsewhere is proxied to its owner (POST
+// /v1/run) when that owner looks alive, and executed locally otherwise —
+// the cluster degrades to correct-but-duplicated work, never to
+// unavailability. All local executions funnel through a fingerprint-keyed
+// singleflight, so the owner runs each fingerprint at most once no matter
+// how many workers, jobs or proxy hops ask for it concurrently:
+// cluster-wide exactly-once is routing (concentrate a fingerprint on its
+// owner) plus this dedupe. The result cache and this dedupe are
+// deliberately tenant-blind: results are keyed by scenario fingerprint
+// alone, so identical work from different tenants is charged the admission
+// of both but executed once.
 type Manager struct {
 	workers    int
 	history    int
-	vnodes     int
-	replicas   int // replica-set size k; 1 means unreplicated
 	cache      *Cache
-	membership *cluster.Membership // nil when standalone
-	proxyHTTP  *http.Client
+	router     *router // nil when standalone
 	log        *slog.Logger
 	registry   *telemetry.Registry
 	tracer     *telemetry.Tracer
 	met        *metrics
 	executions atomic.Uint64
-	proxied    atomic.Uint64
 	settled    atomic.Int64 // retained settled jobs; guards prune scans
 
-	// Replication and anti-entropy state (cluster mode with Replicas > 1).
-	// steals counts owned-elsewhere scenarios executed locally because the
-	// owner's gossiped backlog exceeded ours; replicaHits counts scenarios
-	// served by proxying to a non-owner replica; aeRepairs counts envelopes
-	// copied between replica disk tiers by the anti-entropy pass.
-	steals      atomic.Uint64
-	replicaHits atomic.Uint64
-	aeRepairs   atomic.Uint64
-	aeInterval  time.Duration
-	aeKick      chan string   // rejoin-triggered targeted syncs
-	auxStop     chan struct{} // stops the replication + anti-entropy loops
-	auxStopOnce sync.Once
-	auxWG       sync.WaitGroup
-	replq       chan replItem
-
-	// Gray-failure resilience state. proxyTimeout bounds every replica
-	// RPC; hedgeAfter is the hedged-read delay (0: hedging off); hedges
-	// and hedgeWins count fired hedges and hedges whose response was
-	// adopted. shedQueueDepth / shedOpenBreakers arm admission
-	// brownout, and shed counts submissions rejected by it.
-	proxyTimeout     time.Duration
-	hedgeAfter       time.Duration
-	hedges           atomic.Uint64
-	hedgeWins        atomic.Uint64
+	// shedQueueDepth / shedOpenBreakers arm admission brownout, and shed
+	// counts submissions rejected by it.
 	shedQueueDepth   int
 	shedOpenBreakers int
 	shed             atomic.Uint64
@@ -316,25 +174,8 @@ func New(opts Options) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m.membership != nil {
-		m.membership.Start()
-		// Tell peers we are (back) up so any that hold us dead or left
-		// re-probe immediately instead of waiting out their backoff.
-		go m.membership.AnnounceJoin(leaveTimeout)
-		if m.replicas > 1 {
-			m.auxWG.Add(1)
-			go func() {
-				defer m.auxWG.Done()
-				m.replicationLoop()
-			}()
-			if m.cache.disk != nil {
-				m.auxWG.Add(1)
-				go func() {
-					defer m.auxWG.Done()
-					m.antiEntropyLoop()
-				}()
-			}
-		}
+	if m.router != nil {
+		m.router.start()
 	}
 	m.wg.Add(m.workers)
 	for w := 0; w < m.workers; w++ {
@@ -398,61 +239,8 @@ func newManager(opts Options) (*Manager, error) {
 	m.runners.New = func() any { return dynring.NewRunner() }
 	m.shedQueueDepth = opts.ShedQueueDepth
 	m.shedOpenBreakers = opts.ShedOpenBreakers
-	m.proxyTimeout = opts.Cluster.ProxyTimeout
-	if m.proxyTimeout <= 0 {
-		m.proxyTimeout = defaultProxyTimeout
-	}
 	if opts.Cluster.Self != "" {
-		m.vnodes = opts.Cluster.VNodes
-		if m.vnodes <= 0 {
-			m.vnodes = cluster.DefaultVNodes
-		}
-		m.replicas = opts.Cluster.Replicas
-		if m.replicas < 1 {
-			m.replicas = 1
-		}
-		m.aeInterval = opts.Cluster.AntiEntropyInterval
-		if m.aeInterval <= 0 {
-			m.aeInterval = defaultAntiEntropyInterval
-		}
-		m.hedgeAfter = opts.Cluster.HedgeAfter
-		rt := opts.Cluster.Transport
-		if rt == nil {
-			rt = NewPeerTransport(m.workers)
-		}
-		m.proxyHTTP = &http.Client{Transport: rt}
-		m.aeKick = make(chan string, 8)
-		m.auxStop = make(chan struct{})
-		m.replq = make(chan replItem, replicateQueueDepth)
-		m.membership = cluster.NewMembership(cluster.Config{
-			Self:          opts.Cluster.Self,
-			Peers:         opts.Cluster.Peers,
-			VNodes:        m.vnodes,
-			ProbeInterval: opts.Cluster.ProbeInterval,
-			ProbeTimeout:  opts.Cluster.ProbeTimeout,
-			HTTPClient:    m.proxyHTTP,
-			Logger:        base.With("component", "cluster"),
-			// The breaker's slow-RTT cutoff is the per-hop proxy budget: a
-			// peer whose cheap health probe takes longer than we would wait
-			// for real work is gray by definition.
-			Breaker: cluster.BreakerConfig{
-				Threshold: opts.Cluster.BreakerThreshold,
-				Cooldown:  opts.Cluster.BreakerCooldown,
-				SlowRTT:   m.proxyTimeout,
-			},
-			// A peer returning from the dead (never a transient flap — the
-			// membership fires this once per recovery) gets an immediate
-			// targeted anti-entropy sync, which is how envelopes stolen or
-			// re-homed while it was down land back on its disk tier.
-			OnRejoin: func(url string) {
-				select {
-				case m.aeKick <- url:
-				default: // a sync toward this peer is already pending
-				}
-			},
-		})
-	} else {
-		m.replicas = 1
+		m.router = newRouter(opts.Cluster, m.workers, base, cache, m.backlog, m.TenantKey)
 	}
 	m.met = newMetrics(m)
 	m.cond = sync.NewCond(&m.mu)
@@ -466,8 +254,8 @@ func (m *Manager) Registry() *telemetry.Registry { return m.registry }
 // NodeName is the identity spans carry: the advertised cluster URL, or
 // "local" for a standalone service.
 func (m *Manager) NodeName() string {
-	if m.membership != nil {
-		return m.membership.Self()
+	if m.router != nil {
+		return m.router.membership.Self()
 	}
 	return "local"
 }
@@ -477,9 +265,9 @@ func (m *Manager) Workers() int { return m.workers }
 
 // Close shuts the node down in dependency order: announce the graceful
 // leave and stop probing (so peers stop proxying here), cancel every job
-// and stop the workers, close the idle peer connections, then flush the
-// durable cache tier — the -drain guarantee that every computed result is
-// on disk before exit.
+// and stop the workers, flush the durable cache tier — the -drain
+// guarantee that every computed result is on disk before exit — then
+// close the idle peer connections.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	if m.closed {
@@ -495,21 +283,17 @@ func (m *Manager) Close() {
 	}
 	m.cond.Broadcast()
 	m.mu.Unlock()
-	if m.membership != nil {
-		// Replication and anti-entropy use the membership; stop them first.
-		m.auxStopOnce.Do(func() { close(m.auxStop) })
-		m.auxWG.Wait()
-		m.membership.Leave(leaveTimeout)
-		m.membership.Close()
+	if r := m.router; r != nil {
+		r.close()
+		// Deferred past the workers' exit: a hop still in flight may yet
+		// park a connection.
+		defer r.http.CloseIdleConnections()
 	}
 	for _, j := range jobs {
 		j.cancel()
 		j.markCancelled()
 	}
 	m.wg.Wait()
-	if m.proxyHTTP != nil {
-		m.proxyHTTP.CloseIdleConnections()
-	}
 	m.cache.Close()
 }
 
@@ -544,12 +328,16 @@ type SubmitOptions struct {
 	Deadline time.Duration
 }
 
-// SubmitJob is the full submission path: expand and fingerprint the grid,
+// SubmitJob is the full submission path: bound the grid's row count
+// (maxSweepRows, counted before expansion), expand and fingerprint it,
 // pass the brownout gate (ErrOverloaded — HTTP 503 — when the node is
 // shedding and this submission is sheddable), admit it against the
 // tenant's quotas (ErrQuotaExceeded — HTTP 429 — when over), register the
 // job, arm its deadline and queue it on the tenant's scheduler lane.
 func (m *Manager) SubmitJob(spec dynring.SweepSpec, opts SubmitOptions) (*Job, error) {
+	if sweepRows(spec) > maxSweepRows {
+		return nil, fmt.Errorf("service: sweep expands to more than %d rows; submit it in parts", maxSweepRows)
+	}
 	scenarios, err := spec.ScenarioList()
 	if err != nil {
 		return nil, err
@@ -621,6 +409,24 @@ func (m *Manager) SubmitJob(spec dynring.SweepSpec, opts SubmitOptions) (*Job, e
 	m.log.Info("sweep submitted", "job", j.ID, "trace", traceID,
 		"tenant", ts.cfg.Name, "priority", opts.Priority, "scenarios", j.Total())
 	return j, nil
+}
+
+// sweepRows counts the rows spec expands to without expanding it: the
+// explicit list's length, or the product of the axis lengths (an empty
+// axis contributes the base value). The product saturates at
+// maxSweepRows+1, so it cannot overflow.
+func sweepRows(spec dynring.SweepSpec) int {
+	if len(spec.Scenarios) > 0 {
+		return len(spec.Scenarios)
+	}
+	rows := 1
+	for _, n := range []int{len(spec.Algorithms), len(spec.Sizes), len(spec.Seeds), len(spec.Adversaries)} {
+		if n > maxSweepRows/rows {
+			return maxSweepRows + 1
+		}
+		rows *= max(n, 1)
+	}
+	return rows
 }
 
 // expireJob is the deadline path: identical to Cancel except rows settle
@@ -721,54 +527,23 @@ func (m *Manager) pruneLocked() {
 // /v1/cluster wire document. A standalone node reports Enabled false with
 // an empty peer list.
 func (m *Manager) ClusterStatus() dynring.ClusterStatus {
-	if m.membership == nil {
+	if m.router == nil {
 		return dynring.ClusterStatus{Peers: []dynring.PeerStatus{}}
 	}
-	snap := m.membership.Snapshot()
-	peers := make([]dynring.PeerStatus, len(snap))
-	for i, p := range snap {
-		peers[i] = dynring.PeerStatus{
-			URL:        p.URL,
-			Self:       p.Self,
-			State:      p.State.String(),
-			Failures:   p.Failures,
-			LastSeen:   p.LastSeen,
-			QueueDepth: p.QueueDepth,
-		}
-		if p.Self {
-			// The self entry carries this node's live backlog — the gossip
-			// payload peers read for steal decisions.
-			peers[i].QueueDepth = m.backlog()
-		} else {
-			// This node's breaker verdict for the peer; a non-closed one is
-			// what the State field reports as "degraded".
-			peers[i].Breaker = p.Breaker.String()
-		}
-	}
-	return dynring.ClusterStatus{
-		Enabled:  true,
-		Self:     m.membership.Self(),
-		VNodes:   m.vnodes,
-		Replicas: m.replicas,
-		Peers:    peers,
-	}
+	return m.router.status()
 }
 
-// PeerLeft records a peer's graceful-leave announcement (POST
-// /v1/cluster/leave). No-op when standalone.
-func (m *Manager) PeerLeft(url string) {
-	if m.membership != nil {
-		m.membership.MarkLeft(url)
-	}
-}
+// AntiEntropyNow runs one synchronous anti-entropy pass against every
+// alive peer and returns the number of envelopes repaired (pulled or
+// pushed); 0 unless this node is a replicated cluster member. Tests and
+// targeted recovery use it; the background loop runs the same pass on
+// each tick.
+func (m *Manager) AntiEntropyNow() int { return m.router.antiEntropyNow() }
 
-// PeerJoined records a peer's join announcement (POST /v1/cluster/join):
-// new and left peers re-enter the ring, dead ones are re-probed
-// immediately. No-op when standalone.
-func (m *Manager) PeerJoined(url string) {
-	if m.membership != nil {
-		m.membership.Rejoin(url)
-	}
+// DurableEnvelope re-reads and validates one durable envelope for serving
+// to a peer. A corrupt entry reports absent — never shipped.
+func (m *Manager) DurableEnvelope(fp string) (dynring.Result, bool) {
+	return m.cache.Durable(fp)
 }
 
 // Stats snapshots the service counters.
@@ -805,15 +580,15 @@ func (m *Manager) Stats() dynring.ServiceStats {
 		Jobs:       len(jobs),
 		Workers:    m.workers,
 		Executions: m.executions.Load(),
-		Proxied:    m.proxied.Load(),
 		Cache:      m.cache.Stats(),
 		HitRatio:   m.cache.HitRatio(),
 		Disk:       m.cache.DiskStats(),
 		Queue:      queue,
 		Tenants:    tenants,
 	}
-	if m.membership != nil {
-		cs := m.ClusterStatus()
+	if m.router != nil {
+		st.Proxied = m.router.proxied.Load()
+		cs := m.router.status()
 		st.Cluster = &cs
 	}
 	for _, j := range jobs {
@@ -857,54 +632,54 @@ func (m *Manager) nextTask() (task, bool) {
 	}
 }
 
-// runTask settles one scenario: cache hit, proxy to the fingerprint's
-// owner (cluster mode, owner elsewhere and alive), or local execution.
-// A failed proxy marks the owner failed for the prober and falls back to
-// local execution — a dying peer costs one extra hop, never the sweep.
-// Every settle records one span in the sweep's trace (proxied scenarios
-// record two: the owner's span, adopted from the hop response, plus this
-// node's hop record).
+// runTask settles one scenario and records its span in the sweep's trace
+// (a proxied scenario records two: the owner's span, adopted from the hop
+// response, plus this node's hop record).
 func (m *Manager) runTask(t task) {
 	j, i := t.j, t.i
 	start := time.Now()
 	m.met.queueWait.Observe(start.Sub(j.created).Seconds())
-	span := func(kind string, err error) {
-		s := telemetry.Span{
-			Index:    i,
-			Name:     j.scenarios[i].Name,
-			Node:     m.NodeName(),
-			Kind:     kind,
-			Enqueued: j.created,
-			Started:  start,
-			Finished: time.Now(),
-		}
-		if err != nil {
-			s.Kind = "error"
-			s.Err = err.Error()
-		}
-		m.tracer.Record(j.ID, s)
+	row, kind := m.runRow(j, i)
+	j.setRow(i, row)
+	s := telemetry.Span{
+		Index:    i,
+		Name:     j.scenarios[i].Name,
+		Node:     m.NodeName(),
+		Kind:     kind,
+		Enqueued: j.created,
+		Started:  start,
+		Finished: time.Now(),
 	}
+	if row.Err != nil {
+		s.Kind = "error"
+		s.Err = row.Err.Error()
+	}
+	m.tracer.Record(j.ID, s)
+}
+
+// runRow computes scenario i of j and names how it was served: a cache
+// hit, a proxy hop to the fingerprint's owner or a replica (cluster mode,
+// owner elsewhere and routable), or local execution. A failed proxy marks
+// the owner failed for the prober and falls back to local execution — a
+// dying peer costs one extra hop, never the sweep.
+func (m *Manager) runRow(j *Job, i int) (Row, string) {
 	if err := j.ctx.Err(); err != nil {
-		j.setRow(i, Row{Err: err})
-		span("error", err)
-		return
+		return Row{Err: err}, "error"
 	}
 	fp := j.fps[i]
-	rt := m.routeFor(fp)
+	var rt route
+	if m.router != nil {
+		rt = m.router.routeFor(fp)
+	}
 	if len(rt.targets) > 0 {
 		// Serve from our own tiers before hopping: adopted, replicated and
 		// previously proxied results answer repeats locally. (Standalone
 		// nodes skip straight to ExecuteLocal, whose own probe is then the
 		// only lookup — each scheduled scenario counts one hit or miss.)
 		if res, ok := m.cache.Get(fp); ok {
-			j.setRow(i, Row{Cached: true, Result: res})
-			span("cache-hit", nil)
-			return
+			return Row{Cached: true, Result: res}, "cache-hit"
 		}
-		if rr, target, ok := m.proxyHedged(j, i, rt); ok {
-			if target != rt.owner {
-				m.replicaHits.Add(1)
-			}
+		if rr, ok := m.router.proxyHedged(j, i, rt); ok {
 			// Adopt the owner's span first: under one trace ID the sweep's
 			// trace then shows both the hop (this node) and the work (the
 			// owner), which is the cross-node view /v1/sweeps/{id}/trace
@@ -921,85 +696,24 @@ func (m *Manager) runTask(t task) {
 				})
 			}
 			if rr.Error != "" {
-				j.setRow(i, Row{Err: errors.New(rr.Error)})
-				span("error", errors.New(rr.Error))
-				return
+				return Row{Err: errors.New(rr.Error)}, "error"
 			}
-			res := *rr.Result
 			// Adopt the owner's result into our own tiers: the fingerprint
 			// contract makes cross-node reuse safe, and the local copy
 			// serves repeats without another hop.
-			m.cache.Put(fp, res)
-			j.setRow(i, Row{Cached: rr.Cached, Result: res})
-			span("proxied", nil)
-			return
+			m.cache.Put(fp, *rr.Result)
+			return Row{Cached: rr.Cached, Result: *rr.Result}, "proxied"
 		}
 	}
 	res, cached, err := m.ExecuteLocal(j.ctx, j.scenarios[i], fp, "")
 	if rt.steal && err == nil && !cached {
-		m.steals.Add(1)
+		m.router.steals.Add(1)
 	}
-	j.setRow(i, Row{Cached: cached, Result: res, Err: err})
-	switch {
-	case err != nil:
-		span("error", err)
-	case cached:
-		span("cache-hit", nil)
-	default:
-		span("executed", nil)
+	row := Row{Cached: cached, Result: res, Err: err}
+	if cached {
+		return row, "cache-hit"
 	}
-}
-
-// route is one scenario's dispatch decision: the fingerprint's ring owner,
-// the ordered alive proxy candidates (owner first, then replica
-// successors), and whether this node decided to steal the work instead.
-type route struct {
-	owner   string
-	targets []string
-	steal   bool
-}
-
-// routeFor decides where fp runs. Empty targets means execute locally —
-// standalone mode, we own it (or are stealing it), or no replica is alive
-// (placement never moves on health; availability comes from the local
-// fallback). When this node is in fp's replica set and the owner's
-// gossiped queue depth exceeds our own by stealThreshold, the scenario is
-// stolen: executed locally even though the owner looks alive, with the
-// envelope replicated back to the owner's disk tier by the usual
-// replication push (or, if the owner dies before the push lands, by
-// anti-entropy on its recovery).
-func (m *Manager) routeFor(fp string) route {
-	if m.membership == nil || fp == "" {
-		return route{}
-	}
-	owners := m.membership.Ring().Owners(fp, m.replicas)
-	self := m.membership.Self()
-	if len(owners) == 0 || owners[0] == self {
-		return route{}
-	}
-	rt := route{owner: owners[0]}
-	selfReplica := false
-	for _, o := range owners[1:] {
-		if o == self {
-			selfReplica = true
-		}
-	}
-	if selfReplica && m.membership.Alive(rt.owner) {
-		if depth, ok := m.membership.QueueDepth(rt.owner); ok && depth >= m.backlog()+stealThreshold {
-			rt.steal = true
-			return rt
-		}
-	}
-	for _, o := range owners {
-		// Routable, not Alive: an alive peer with an open breaker is gray,
-		// and the whole point of the breaker is to route to the next
-		// replica immediately instead of waiting out a proxy timeout
-		// against it.
-		if o != self && m.membership.Routable(o) {
-			rt.targets = append(rt.targets, o)
-		}
-	}
-	return rt
+	return row, "executed"
 }
 
 // backlog is this node's undispatched scenario count — the queue depth it
@@ -1008,157 +722,6 @@ func (m *Manager) backlog() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.sched.Len()
-}
-
-// hopResult is one proxy attempt's outcome inside proxyHedged's race.
-type hopResult struct {
-	rr     dynring.RunResponse
-	ok     bool
-	target string
-	hedge  bool // launched by the hedge timer, not primary or failover
-}
-
-// proxyHedged serves one routed scenario through rt.targets with hedged
-// replica reads. The primary request goes to the first target (the owner,
-// or the first routable replica). With hedging armed (ClusterOptions.
-// HedgeAfter > 0) and a second target available, a hedge fires the same
-// fingerprint at that replica once the primary has been silent for the
-// hedge delay. First good response wins; the loser is cancelled before
-// its response could be adopted, which preserves
-// exactly-once structurally: each side serves through its own cache and
-// singleflight, the coordinator adopts exactly one result, and the
-// replication push reconciles the winner's envelope across the replica
-// set exactly as steal-then-reconcile does. A failed attempt (not a
-// cancellation) falls over to the next unused target, hedged or not, so
-// the pre-hedging sequential failover is the degenerate case. Returns
-// ok=false when every target failed — the caller's local execution is the
-// final fallback and cannot lose work.
-func (m *Manager) proxyHedged(j *Job, i int, rt route) (dynring.RunResponse, string, bool) {
-	ctx, cancel := context.WithCancel(j.ctx)
-	defer cancel()
-	results := make(chan hopResult, len(rt.targets))
-	launched := 0
-	launch := func(hedge bool) {
-		target := rt.targets[launched]
-		launched++
-		go func() {
-			rr, ok := m.proxyRun(ctx, target, j.scenarios[i], j.fps[i], j.traceID, j.Tenant, j.deadline)
-			results <- hopResult{rr: rr, ok: ok, target: target, hedge: hedge}
-		}()
-	}
-	launch(false)
-	pending := 1
-	var hedgeC <-chan time.Time
-	if m.hedgeAfter > 0 && len(rt.targets) > 1 {
-		t := time.NewTimer(m.hedgeAfter)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-	for pending > 0 {
-		select {
-		case <-hedgeC:
-			hedgeC = nil
-			if launched < len(rt.targets) {
-				m.hedges.Add(1)
-				launch(true)
-				pending++
-			}
-		case r := <-results:
-			pending--
-			if r.ok {
-				if r.hedge {
-					m.hedgeWins.Add(1)
-				}
-				// Cancel the losing attempt before adoption: its response,
-				// if any, is discarded unread, so exactly one result is
-				// ever adopted for this row.
-				cancel()
-				return r.rr, r.target, true
-			}
-			if j.ctx.Err() != nil {
-				return dynring.RunResponse{}, "", false
-			}
-			if pending == 0 && launched < len(rt.targets) {
-				// Plain failover: the attempt failed on its own (the peer,
-				// not our cancellation) — try the next replica.
-				launch(false)
-				pending++
-			}
-		}
-	}
-	return dynring.RunResponse{}, "", false
-}
-
-// proxyRun forwards one scenario to target via POST /v1/run, carrying the
-// sweep's trace ID in TraceHeader so the target's span lands in the same
-// trace, and the originating tenant's API key so the target accounts the
-// execution to that tenant rather than to the proxying node. Every hop is
-// bounded: its context times out after min(ProxyTimeout, the job's
-// remaining deadline budget), and that remaining budget is forwarded in
-// DeadlineHeader so the target bounds its own execution too — the
-// deadline a client set on POST /v1/sweeps follows the work across every
-// hop it takes. The hop names this node in AdopterHeader: the caller
-// adopts the result into its own tiers, so the target's replication push
-// skips it. RunScenario marks the hop replayable, so net/http replays a
-// hop that met a pooled connection the peer had just closed instead of
-// failing it. The second return is false when the
-// caller should fall back (next replica, then local execution): the
-// scenario has no wire form (custom factory), the budget is already
-// spent, or the target failed — a genuine failure also feeds the membership's failure evidence
-// (and through it the peer's breaker), while a hop cancelled from our own
-// side (a hedge lost its race, the job was cancelled) is not evidence
-// against the peer and feeds nothing. Successful hops report their RTT to
-// the breaker. Retries are disabled on the hop: the local fallback IS the
-// retry, and it cannot lose work. A tenant
-// the target does not know (config skew across the cluster) is rejected
-// there with 401, which lands here as a failed hop and degrades to the
-// same fallback.
-func (m *Manager) proxyRun(ctx context.Context, target string, sc dynring.Scenario, fp, traceID, tenant string, deadline time.Time) (dynring.RunResponse, bool) {
-	sp, err := sc.WireSpec()
-	if err != nil {
-		return dynring.RunResponse{}, false
-	}
-	timeout := m.proxyTimeout
-	var budget time.Duration
-	if !deadline.IsZero() {
-		budget = time.Until(deadline)
-		if budget <= 0 {
-			return dynring.RunResponse{}, false
-		}
-		if budget < timeout {
-			timeout = budget
-		}
-	}
-	hopCtx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	c := &dynring.Client{BaseURL: target, HTTPClient: m.proxyHTTP, Retries: -1, TenantKey: m.TenantKey(tenant)}
-	hop := time.Now()
-	rr, err := c.RunScenario(hopCtx, sp, dynring.WithTrace(traceID), dynring.WithDeadline(budget),
-		dynring.WithAdopter(m.membership.Self()))
-	rtt := time.Since(hop)
-	if err != nil {
-		if ctx.Err() != nil {
-			// Our side ended the hop (hedge race decided, job cancelled or
-			// expired). The peer did nothing wrong: no failure evidence, no
-			// fallback noise.
-			return dynring.RunResponse{}, false
-		}
-		m.membership.MarkFailed(target, err)
-		m.met.proxyFallbacks.Inc()
-		m.log.Warn("proxy failed, executing locally",
-			"fingerprint", fp, "target", target, "trace", traceID, "error", err)
-		return dynring.RunResponse{}, false
-	}
-	if rr.Error == "" && rr.Result == nil {
-		m.met.proxyFallbacks.Inc()
-		m.log.Warn("proxy returned no result, executing locally",
-			"fingerprint", fp, "target", target, "trace", traceID)
-		return dynring.RunResponse{}, false
-	}
-	m.membership.ObserveRTT(target, rtt)
-	m.met.proxyRTT.Observe(rtt.Seconds())
-	m.proxied.Add(1)
-	return rr, true
 }
 
 // ExecuteLocal runs one scenario on this node — cache tiers first, then an
@@ -1184,11 +747,11 @@ func (m *Manager) ExecuteLocal(ctx context.Context, sc dynring.Scenario, fp, ado
 		return res, false, err
 	}
 	res, shared, err := m.group.Do(ctx, fp, func() (dynring.Result, error) { return m.execute(ctx, sc) })
-	if !shared && err == nil {
+	if !shared && err == nil && m.router != nil {
 		// Push the completed envelope toward fp's other replicas; the
 		// replication loop fans it out to each replica's disk tier through
 		// that node's own async write queue.
-		m.replicate(fp, res, adopter)
+		m.router.replicate(fp, res, adopter)
 	}
 	return res, shared, err
 }

@@ -2,7 +2,6 @@ package service
 
 import (
 	"dynring"
-	"dynring/internal/cluster"
 	"dynring/internal/telemetry"
 )
 
@@ -17,11 +16,6 @@ type metrics struct {
 	// execution (cache hits and proxy hops excluded).
 	queueWait  *telemetry.Histogram
 	runSeconds *telemetry.Histogram
-
-	// proxyRTT times successful proxy hops; proxyFallbacks counts hops that
-	// failed over to local execution. Nil/unregistered when standalone.
-	proxyRTT       *telemetry.Histogram
-	proxyFallbacks *telemetry.Counter
 
 	// Engine accounting, accumulated from Runner.LastStats after each
 	// successful execution: the leap fast path's win as cluster-visible
@@ -47,7 +41,7 @@ func (mt *metrics) observeRun(st dynring.RunStats) {
 // newMetrics registers the node's full metric catalogue on m.registry.
 // Families whose subsystem is absent (disk tier, cluster) are not
 // registered at all, so a standalone /metrics page carries no dead series.
-// Called once from newManager, after the cache and membership exist.
+// Called once from newManager, after the cache and router exist.
 func newMetrics(m *Manager) *metrics {
 	r := m.registry
 	mt := &metrics{}
@@ -82,7 +76,6 @@ func newMetrics(m *Manager) *metrics {
 	// tenant set is fixed at boot, which keeps the registry's
 	// bounded-cardinality guarantee.
 	for _, ts := range m.tenantList {
-		ts := ts
 		name := telemetry.Label{Name: "tenant", Value: ts.cfg.Name}
 		r.CounterFunc("dynring_admission_admitted_total",
 			"Sweeps admitted past quota checks, by tenant.",
@@ -170,57 +163,9 @@ func newMetrics(m *Manager) *metrics {
 			diskStat(func(st dynring.DiskTierStats) float64 { return float64(st.QueueDepth) }))
 	}
 
-	// --- cluster: membership and the proxy path ---
-	if m.membership != nil {
-		for _, state := range []cluster.State{cluster.StateAlive, cluster.StateSuspect, cluster.StateDead, cluster.StateLeft, cluster.StateDegraded} {
-			state := state
-			r.GaugeFunc("dynring_cluster_peers",
-				"Cluster members by probe-derived health state, as seen by this node (self counts as alive).",
-				func() float64 {
-					n := 0
-					for _, p := range m.membership.Snapshot() {
-						if p.State == state {
-							n++
-						}
-					}
-					return float64(n)
-				}, telemetry.Label{Name: "state", Value: state.String()})
-		}
-		r.CounterFunc("dynring_cluster_proxied_total",
-			"Scenarios this node proxied to their owning peer instead of executing.",
-			func() float64 { return float64(m.proxied.Load()) })
-		r.CounterFunc("dynring_cluster_probe_failures_total",
-			"Failed health probes (including out-of-band proxy-failure evidence).",
-			func() float64 { return float64(m.membership.ProbeFailures()) })
-		mt.proxyFallbacks = r.Counter("dynring_cluster_proxy_fallbacks_total",
-			"Proxy hops that failed and fell back to local execution.")
-		mt.proxyRTT = r.Histogram("dynring_cluster_proxy_rtt_seconds",
-			"Round-trip time of successful POST /v1/run proxy hops.", nil)
-		r.CounterFunc("dynring_cluster_steals_total",
-			"Owned-elsewhere scenarios executed locally because the owner's gossiped queue depth exceeded this replica's by the steal threshold.",
-			func() float64 { return float64(m.steals.Load()) })
-		r.CounterFunc("dynring_cluster_replica_hits_total",
-			"Scenarios served by proxying to a non-owner replica after the owner was unreachable.",
-			func() float64 { return float64(m.replicaHits.Load()) })
-		r.CounterFunc("dynring_cluster_antientropy_repairs_total",
-			"Envelopes copied between replica disk tiers by the anti-entropy pass (pulled repairs plus pushes to lagging peers).",
-			func() float64 { return float64(m.aeRepairs.Load()) })
-		// Per-state peer counts, not per-peer series: breaker state is a
-		// constant-cardinality label (three states) where peer URLs would be
-		// unbounded.
-		for _, bst := range []cluster.BreakerState{cluster.BreakerClosed, cluster.BreakerOpen, cluster.BreakerHalfOpen} {
-			bst := bst
-			r.GaugeFunc("dynring_cluster_breaker_state",
-				"Peers by circuit-breaker state as seen by this node (open and half_open peers are not routable until a trial succeeds).",
-				func() float64 { return float64(m.membership.BreakerStates()[bst]) },
-				telemetry.Label{Name: "state", Value: bst.String()})
-		}
-		r.CounterFunc("dynring_cluster_hedges_total",
-			"Hedged replica requests fired because the owner's observed latency crossed the hedge threshold.",
-			func() float64 { return float64(m.hedges.Load()) })
-		r.CounterFunc("dynring_cluster_hedge_wins_total",
-			"Hedged requests whose replica answered before the slow owner (the owner's in-flight hop is cancelled, never adopted).",
-			func() float64 { return float64(m.hedgeWins.Load()) })
+	// --- cluster: membership, the proxy path, replication ---
+	if m.router != nil {
+		m.router.registerMetrics(r)
 	}
 
 	// --- engine: per-run execution accounting ---

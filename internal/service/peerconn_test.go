@@ -62,7 +62,7 @@ func TestProxyHopReplaysOnStaleConnection(t *testing.T) {
 	}
 	for i, m := range ms {
 		deadline := time.Now().Add(10 * time.Second)
-		for !m.membership.Alive(urls[1-i]) {
+		for !m.router.membership.Alive(urls[1-i]) {
 			if time.Now().After(deadline) {
 				t.Fatal("cluster never converged")
 			}
@@ -77,7 +77,7 @@ func TestProxyHopReplaysOnStaleConnection(t *testing.T) {
 	for s := int64(1); s <= 24; s++ {
 		spec.Seeds = append(spec.Seeds, s)
 	}
-	failuresBefore := ms[0].membership.ProbeFailures()
+	failuresBefore := ms[0].router.membership.ProbeFailures()
 	j, err := ms[0].Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestProxyHopReplaysOnStaleConnection(t *testing.T) {
 	if got := scrapeMetric(t, urls[0], "dynring_cluster_proxy_fallbacks_total"); got != 0 {
 		t.Fatalf("proxy_fallbacks_total = %v, want 0: the dropped hop was not replayed", got)
 	}
-	if got := ms[0].membership.ProbeFailures(); got != failuresBefore {
+	if got := ms[0].router.membership.ProbeFailures(); got != failuresBefore {
 		t.Fatalf("the dropped hop was counted as failure evidence (%d -> %d)", failuresBefore, got)
 	}
 	if ex := ms[0].Stats().Executions + ms[1].Stats().Executions; ex != uint64(j.Total()) {

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -625,5 +626,87 @@ func TestPanickingScenarioDoesNotKillDaemon(t *testing.T) {
 	neg.Adversaries = []dynring.AdversarySpec{{Kind: "pin", Pin: -1}}
 	if _, err := m.Submit(neg); err == nil {
 		t.Fatal("negative pin accepted")
+	}
+}
+
+// TestSubmitRejectsOversizedSweep: a grid over maxSweepRows is refused
+// with a 400 that names the bound, before it is expanded. The 13 KB spec
+// of 1500 sizes × 1500 seeds would expand to 2.25 M rows and about
+// 750 MB; refusing it must cost next to nothing.
+func TestSubmitRejectsOversizedSweep(t *testing.T) {
+	m := mustNew(t, Options{Workers: 1, CacheSize: 8})
+	defer m.Close()
+	spec := dynring.SweepSpec{Base: dynring.ScenarioSpec{Algorithm: "KnownNNoChirality", Landmark: 0}}
+	for i := 0; i < 1500; i++ {
+		spec.Sizes = append(spec.Sizes, 8+i)
+		spec.Seeds = append(spec.Seeds, int64(i))
+	}
+
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/v1/sweeps", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), fmt.Sprint(maxSweepRows)) {
+		t.Fatalf("POST of a %d-byte, 2.25M-row spec: %d %s, want 400 naming %d",
+			len(body), resp.StatusCode, msg, maxSweepRows)
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	_, err = m.Submit(spec)
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("oversized sweep admitted")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 || elapsed > time.Second {
+		t.Fatalf("rejection allocated %d bytes in %v; the bound must be checked before expansion", alloc, elapsed)
+	}
+	if st := m.Stats(); st.Jobs != 0 {
+		t.Fatalf("rejected sweeps left %d jobs", st.Jobs)
+	}
+}
+
+// TestSweepRows: the pre-expansion row count matches what ScenarioList
+// produces, and a product too large for an int saturates instead of
+// wrapping around under the bound.
+func TestSweepRows(t *testing.T) {
+	for _, spec := range []dynring.SweepSpec{
+		testSpec(),
+		{Base: dynring.ScenarioSpec{Algorithm: "KnownNNoChirality", Size: 8}},
+		{Scenarios: []dynring.ScenarioSpec{
+			{Algorithm: "KnownNNoChirality", Size: 8, Seed: 1},
+			{Algorithm: "KnownNNoChirality", Size: 8, Seed: 2},
+		}},
+	} {
+		scs, err := spec.ScenarioList()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sweepRows(spec); got != len(scs) {
+			t.Fatalf("sweepRows = %d, ScenarioList has %d rows", got, len(scs))
+		}
+	}
+	// 2^16 entries on each of four axes is 2^64 rows: an unguarded
+	// product wraps to 0.
+	const n = 1 << 16
+	huge := dynring.SweepSpec{
+		Algorithms:  make([]string, n),
+		Sizes:       make([]int, n),
+		Seeds:       make([]int64, n),
+		Adversaries: make([]dynring.AdversarySpec, n),
+	}
+	if got := sweepRows(huge); got <= maxSweepRows {
+		t.Fatalf("sweepRows of a 2^64-row grid = %d, want > %d", got, maxSweepRows)
 	}
 }

@@ -59,6 +59,12 @@ func main() {
 				}
 			}
 		}
+		// Only a cluster member has a router, and only a router registers
+		// cluster families: a standalone shape rendering one means cluster
+		// metrics leaked onto nodes that have no cluster.
+		if shape != "cluster" && strings.Contains(text, "dynring_cluster_") {
+			problems = append(problems, shape+": renders dynring_cluster_* families without a cluster")
+		}
 		// The brownout shed counter registers unconditionally; every shape
 		// must render it or overload shedding has gone invisible.
 		if !strings.Contains(text, "dynring_admission_shed_total") {
